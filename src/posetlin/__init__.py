@@ -56,6 +56,7 @@ from .mappings import (
 from .oracle import (
     SplitMix64,
     brute_levels,
+    brute_preserves,
     count_linear_extensions,
     enumerate_maximal_chains,
     random_poset,
@@ -93,6 +94,7 @@ __all__ = [
     "TooLargeError",
     "UnknownElementError",
     "brute_levels",
+    "brute_preserves",
     "build_poset",
     "compute_levels",
     "count_linear_extensions",

@@ -5,11 +5,11 @@ caps, ...), 2 on parse errors.
 """
 
 import argparse
-import json
 import sys
 
 from .errors import ParseError, PosetlinError
 from .formats import (
+    canonical_json,
     emit_json,
     parse_mapping,
     parse_poset,
@@ -19,7 +19,7 @@ from .formats import (
 )
 from .levels import DUAL, PRIMAL, compute_levels, linearisations_equivalent, satisfies_elcc
 from .mappings import extend, impossibility_witness
-from .oracle import MAX_CHAIN_ENUMERATION, brute_levels, enumerate_maximal_chains
+from .oracle import brute_levels, enumerate_maximal_chains
 
 MAX_TABLE_ENTRIES = 10**6
 
@@ -37,10 +37,6 @@ def _load_poset(path):
     return parse_poset(_read(path))
 
 
-def _print_json(payload):
-    print(json.dumps(payload, separators=(",", ":")))
-
-
 def _cmd_check(args):
     p = _load_poset(args.poset)
     info = {
@@ -52,7 +48,7 @@ def _cmd_check(args):
         "elcc": satisfies_elcc(p) if len(p) else None,
     }
     if args.json:
-        _print_json(info)
+        print(canonical_json(info))
     else:
         for key, value in info.items():
             print(f"{key}: {value}")
@@ -76,10 +72,6 @@ def _cmd_elcc(args):
     result = satisfies_elcc(p)
     lengths = None
     if args.oracle:
-        if len(p) > MAX_CHAIN_ENUMERATION:
-            raise OracleMismatchError(
-                f"oracle cross-check is capped at {MAX_CHAIN_ENUMERATION} elements"
-            )
         lengths = sorted({len(c) for c in enumerate_maximal_chains(p)})
         if (len(lengths) == 1) != result:
             raise OracleMismatchError("ELCC decision disagrees with chain enumeration")
@@ -87,7 +79,7 @@ def _cmd_elcc(args):
         payload = {"elcc": result}
         if lengths is not None:
             payload["chain_lengths"] = lengths
-        _print_json(payload)
+        print(canonical_json(payload))
     else:
         print("true" if result else "false")
         if lengths is not None:
@@ -98,7 +90,7 @@ def _cmd_equiv(args):
     p = _load_poset(args.poset)
     result = linearisations_equivalent(p)
     if args.json:
-        _print_json({"equivalent": result})
+        print(canonical_json({"equivalent": result}))
     else:
         print("true" if result else "false")
 
@@ -118,14 +110,9 @@ def _cmd_extend(args):
         print(f"mode: {cm.mode}")
         domain_classes = domain_lin.classes_ascending()
         codomain_classes = codomain_lin.classes_ascending()
-        ordered = sorted(
-            cm.table, key=lambda key: tuple(domain_lin.rank(i) for i in key)
-        )
-        for key in ordered:
-            src = " x ".join(
-                "[" + " ".join(domain_classes[domain_lin.rank(i)]) + "]" for i in key
-            )
-            dst = "[" + " ".join(codomain_classes[codomain_lin.rank(cm.table[key])]) + "]"
+        for key, value in cm.ranked_table().items():
+            src = " x ".join("[" + " ".join(domain_classes[r]) + "]" for r in key)
+            dst = "[" + " ".join(codomain_classes[value]) + "]"
             print(f"{src} -> {dst}")
         print(f"monotone: {cm.is_monotone()}")
         print(f"antitone: {cm.is_antitone()}")
@@ -136,14 +123,13 @@ def _cmd_witness(args):
     ranks = parse_ranks(_read(args.ranks), p)
     witness = impossibility_witness(p, ranks)
     if args.json:
-        _print_json(
-            {
-                "case": witness.case,
-                "pair": list(witness.pair),
-                "map": {x: witness.witness_map(x) for x in p.elements},
-                "violation": witness.violation,
-            }
-        )
+        payload = {
+            "case": witness.case,
+            "pair": list(witness.pair),
+            "map": {x: witness.witness_map(x) for x in p.elements},
+            "violation": witness.violation,
+        }
+        print(canonical_json(payload))
     else:
         print(f"case: {witness.case}")
         print(f"pair: {witness.pair[0]} {witness.pair[1]}")

@@ -88,26 +88,21 @@ def render_poset(p):
     return "\n".join(lines) + "\n"
 
 
-def mapping_arity(text):
-    """Read the arity header of a mapping file without parsing the rows."""
-    for lineno, line in _logical_lines(text):
-        fields = line.split()
-        if len(fields) != 2 or fields[0] != "arity":
-            raise ParseError("expected header 'arity N'", lineno)
-        try:
-            arity = int(fields[1])
-        except ValueError:
-            raise ParseError(f"arity is not an integer: {fields[1]!r}", lineno) from None
-        if arity < 1:
-            raise ParseError(f"arity must be positive, got {arity}", lineno)
-        return arity
-    raise ParseError("empty mapping file", 1)
-
-
 def parse_mapping(text, domain, codomain, max_entries=None):
     """Parse a mapping file into a total mapping table between two posets."""
     lines = list(_logical_lines(text))
-    arity = mapping_arity(text)
+    if not lines:
+        raise ParseError("empty mapping file", 1)
+    lineno, header = lines[0]
+    fields = header.split()
+    if len(fields) != 2 or fields[0] != "arity":
+        raise ParseError("expected header 'arity N'", lineno)
+    try:
+        arity = int(fields[1])
+    except ValueError:
+        raise ParseError(f"arity is not an integer: {fields[1]!r}", lineno) from None
+    if arity < 1:
+        raise ParseError(f"arity must be positive, got {arity}", lineno)
     entries = {}
     for lineno, line in lines[1:]:
         fields = line.split()
@@ -253,9 +248,6 @@ def emit_json(value):
         payload = {"direction": value.direction, "classes": value.classes_ascending()}
     elif isinstance(value, ClassMapping):
         dom, cod = value.domain_lin, value.codomain_lin
-        ordered = sorted(
-            value.table, key=lambda key: tuple(dom.rank(i) for i in key)
-        )
         payload = {
             "mode": value.mode,
             "arity": value.arity,
@@ -264,10 +256,7 @@ def emit_json(value):
                 "direction": cod.direction,
                 "classes": cod.classes_ascending(),
             },
-            "entries": [
-                [[dom.rank(i) for i in key], cod.rank(value.table[key])]
-                for key in ordered
-            ],
+            "entries": [[list(key), v] for key, v in value.ranked_table().items()],
             "monotone": value.is_monotone(),
             "antitone": value.is_antitone(),
         }
@@ -285,4 +274,9 @@ def emit_json(value):
         }
     else:
         raise TypeError(f"cannot emit {type(value).__name__} as JSON")
+    return canonical_json(payload)
+
+
+def canonical_json(payload):
+    """Serialise plain JSON data compactly, keeping the payload's key order."""
     return json.dumps(payload, separators=(",", ":"))

@@ -12,6 +12,7 @@ from .levels import PRIMAL, Linearisation, _check_direction
 from .poset import build_poset
 
 MAX_BRUTE_LEVELS = 64
+MAX_BRUTE_TABLE = 4096
 MAX_CHAIN_ENUMERATION = 14
 MAX_EXTENSION_COUNT = 8
 MAX_RANDOM_SIZE = 12
@@ -82,6 +83,23 @@ def brute_levels(p, direction=PRIMAL):
         assigned |= level
     class_of = {x: i for i, level in enumerate(levels) for x in level}
     return Linearisation(p, direction, tuple(levels), class_of)
+
+
+def brute_preserves(table, leq, ok):
+    """True iff ``ok(table[xs], table[ys])`` for every pair of keys with ``xs <= ys``.
+
+    Tests every ordered pair of keys, comparing them componentwise with
+    ``leq``, so it needs neither a total table nor a transitive ``ok``; the
+    reference for the cover-step checks of ``MappingTable`` and
+    ``ClassMapping``.
+    """
+    if len(table) > MAX_BRUTE_TABLE:
+        raise TooLargeError(f"brute_preserves is capped at {MAX_BRUTE_TABLE} entries")
+    for xs, u in table.items():
+        for ys, v in table.items():
+            if all(map(leq, xs, ys)) and not ok(u, v):
+                return False
+    return True
 
 
 def enumerate_maximal_chains(p):

@@ -214,27 +214,27 @@ class Poset:
             height[x] = 1 + max((height[y] for y in self._cover_down[x]), default=0)
         return max(height.values())
 
-    def _least_upper(self, x, y):
-        bounds = [z for z in self.elements if self.leq(x, z) and self.leq(y, z)]
-        for u in bounds:
-            if all(self.leq(u, v) for v in bounds):
-                return u
-        return None
+    @staticmethod
+    def _best_bound(x, y, up):
+        """The common bound of ``x`` and ``y`` below all the others, or None.
 
-    def _greatest_lower(self, x, y):
-        bounds = [z for z in self.elements if self.leq(z, x) and self.leq(z, y)]
-        for u in bounds:
-            if all(self.leq(v, u) for v in bounds):
-                return u
-        return None
+        ``up`` holds strict up-sets for ``sup`` or strict down-sets for ``inf``.
+        That bound has every other bound in its set, so only the bound with
+        the largest set needs the subset test.
+        """
+        bounds = (up[x] | {x}) & (up[y] | {y})
+        if not bounds:
+            return None
+        best = max(bounds, key=lambda z: len(up[z]))
+        return best if bounds <= up[best] | {best} else None
 
     def is_lattice(self):
         """True iff every pair of elements has a least upper and greatest lower bound."""
         for i, x in enumerate(self.elements):
             for y in self.elements[i + 1 :]:
-                if self._least_upper(x, y) is None:
+                if self._best_bound(x, y, self._up) is None:
                     return False
-                if self._greatest_lower(x, y) is None:
+                if self._best_bound(x, y, self._down) is None:
                     return False
         return True
 
@@ -242,7 +242,7 @@ class Poset:
         """Least upper bound of ``{x, y}``; raises ``NotALatticeError`` if absent."""
         self._require(x)
         self._require(y)
-        bound = self._least_upper(x, y)
+        bound = self._best_bound(x, y, self._up)
         if bound is None:
             raise NotALatticeError(f"no least upper bound for {x!r} and {y!r}")
         return bound
@@ -251,7 +251,7 @@ class Poset:
         """Greatest lower bound of ``{x, y}``; raises ``NotALatticeError`` if absent."""
         self._require(x)
         self._require(y)
-        bound = self._greatest_lower(x, y)
+        bound = self._best_bound(x, y, self._down)
         if bound is None:
             raise NotALatticeError(f"no greatest lower bound for {x!r} and {y!r}")
         return bound

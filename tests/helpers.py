@@ -144,14 +144,20 @@ def random_table(domain, codomain, seed, arity=1):
     )
 
 
+def bounds_bruteforce(p, x, y):
+    """Lists of least upper and greatest lower bounds of x and y, head on."""
+    uppers = [z for z in p.elements if p.leq(x, z) and p.leq(y, z)]
+    lowers = [z for z in p.elements if p.leq(z, x) and p.leq(z, y)]
+    least = [u for u in uppers if all(p.leq(u, v) for v in uppers)]
+    greatest = [u for u in lowers if all(p.leq(v, u) for v in lowers)]
+    return least, greatest
+
+
 def is_lattice_bruteforce(p):
     """Independent lattice test: search bounds pair by pair, head on."""
     for x in p.elements:
         for y in p.elements:
-            uppers = [z for z in p.elements if p.leq(x, z) and p.leq(y, z)]
-            lowers = [z for z in p.elements if p.leq(z, x) and p.leq(z, y)]
-            least = [u for u in uppers if all(p.leq(u, v) for v in uppers)]
-            greatest = [u for u in lowers if all(p.leq(v, u) for v in lowers)]
+            least, greatest = bounds_bruteforce(p, x, y)
             if len(least) != 1 or len(greatest) != 1:
                 return False
     return True

@@ -104,6 +104,13 @@ def test_elcc_with_oracle_lengths(files, capsys):
     assert json.loads(out) == {"elcc": False, "chain_lengths": [3, 4]}
 
 
+def test_elcc_oracle_beyond_the_chain_enumeration_cap(files, capsys):
+    long_chain = files("chain.poset", "".join(f"c{i} < c{i + 1}\n" for i in range(14)))
+    code, out, err = run(capsys, "elcc", long_chain, "--oracle")
+    assert (code, out) == (1, "")
+    assert "capped" in err
+
+
 def test_equiv(files, capsys):
     abc = files("abc.poset", ABC_FILE)
     diamond = files("diamond.poset", DIAMOND_FILE)

@@ -1,6 +1,8 @@
 """File parsing, rendering, ranking, and canonical JSON."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posetlin import (
     DUAL,
@@ -86,6 +88,29 @@ def test_render_round_trip():
         assert again.elements == p.elements
         assert again.strict_pairs == p.strict_pairs
         assert again.cover_pairs == p.cover_pairs
+
+
+@st.composite
+def posets(draw):
+    # names avoid the keyword "elem", which the file format cannot take as
+    # the lower end of an edge line
+    names = draw(
+        st.lists(st.text("abxyz019_", min_size=1, max_size=3), max_size=10, unique=True)
+    )
+    if not names:
+        return build_poset([], [])
+    height = draw(st.permutations(range(len(names))))
+    index = st.integers(0, len(names) - 1)
+    pairs = draw(st.lists(st.tuples(index, index), max_size=20))
+    return build_poset(
+        names, [(names[i], names[j]) for i, j in pairs if height[i] < height[j]]
+    )
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(posets())
+def test_render_round_trip_property(p):
+    assert parse_poset(render_poset(p)) == p
 
 
 F_MAPPING = """\

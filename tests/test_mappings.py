@@ -1,8 +1,13 @@
 """Mapping tables, class extension, and impossibility witnesses."""
 
+from itertools import product
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posetlin import (
+    DIRECTIONS,
     DUAL,
     PRIMAL,
     ArityMismatchError,
@@ -13,14 +18,19 @@ from posetlin import (
     NotALatticeError,
     PosetMismatchError,
     RanksNotOrderPreservingError,
+    SplitMix64,
     TooLargeError,
     UnknownElementError,
+    brute_preserves,
     compute_levels,
     extend,
     extend_all,
     impossibility_witness,
+    random_poset,
 )
+from posetlin.mappings import MODES
 from helpers import (
+    EDGE_PROBS,
     antichain,
     chain,
     corpus,
@@ -262,3 +272,91 @@ def test_preservation_of_monotone_and_antitone_tables():
             assert extend(antitone, primal, clin, "under").is_antitone()
             assert extend(antitone, dual, clin, "over").is_antitone()
             assert extend(monotone, dual, clin, "under").is_monotone()
+
+
+# Largest domain per arity that keeps the pairwise reference quick:
+# at most 8, 25 and 27 table entries.
+MAX_DOMAIN = {1: 8, 2: 5, 3: 3}
+
+
+def _check_against_brute(table):
+    """Both checkers agree with the pairwise scan, for the table and for its
+    class mappings under every domain direction, codomain direction and mode."""
+    dom, cod = table.domain, table.codomain
+    expected = (
+        brute_preserves(table.table, dom.leq, cod.leq),
+        brute_preserves(table.table, dom.leq, lambda u, v: cod.leq(v, u)),
+    )
+    assert (table.is_monotone(), table.is_antitone()) == expected
+    checked = [expected]
+    for ddir, cdir, mode in product(DIRECTIONS, DIRECTIONS, MODES):
+        dlin, clin = compute_levels(dom, ddir), compute_levels(cod, cdir)
+        cm = extend(table, dlin, clin, mode)
+        rd = [dlin.rank(i) for i in range(dlin.num_classes)]
+        rc = [clin.rank(i) for i in range(clin.num_classes)]
+        expected = tuple(
+            brute_preserves(cm.table, lambda i, j: rd[i] <= rd[j], ok)
+            for ok in (lambda u, v: rc[u] <= rc[v], lambda u, v: rc[u] >= rc[v])
+        )
+        assert (cm.is_monotone(), cm.is_antitone()) == expected, (ddir, cdir, mode)
+        checked.append(expected)
+    return checked
+
+
+def _perturbed(table, seed):
+    """``table`` with one entry reassigned, which usually breaks its order
+    character on a few cover steps only."""
+    rng = SplitMix64(seed)
+    keys = list(table.table)
+    entries = dict(table.table)
+    entries[keys[rng.below(len(keys))]] = table.codomain.elements[
+        rng.below(len(table.codomain))
+    ]
+    return MappingTable(table.domain, table.arity, table.codomain, entries)
+
+
+def test_order_checks_match_the_pairwise_reference():
+    outcomes = []
+    for i in range(150):
+        arity = 1 + i % 3
+        dom = random_poset(6000 + i, 1 + i % MAX_DOMAIN[arity], EDGE_PROBS[i % 5])
+        cod = random_poset(6500 + i, 1 + i % 5, EDGE_PROBS[(i // 5) % 5])
+        monotone = random_monotone_table(dom, cod, seed=i, arity=arity)
+        antitone = random_antitone_table(dom, cod, seed=i, arity=arity)
+        for table in (
+            monotone,
+            antitone,
+            random_table(dom, cod, seed=i, arity=arity),
+            _perturbed(monotone, i),
+            _perturbed(antitone, i),
+        ):
+            outcomes.extend(_check_against_brute(table))
+    # the sweep reaches every verdict of both checks
+    assert {(m, a) for m, a in outcomes} == {
+        (True, True), (True, False), (False, True), (False, False)
+    }
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    arity=st.integers(1, 3),
+    seed=st.integers(0, 2**32),
+    probs=st.tuples(st.sampled_from(EDGE_PROBS), st.sampled_from(EDGE_PROBS)),
+    base=st.sampled_from([random_monotone_table, random_antitone_table, random_table]),
+    data=st.data(),
+)
+def test_order_checks_match_the_pairwise_reference_on_drawn_tables(
+    arity, seed, probs, base, data
+):
+    dom = random_poset(seed, data.draw(st.integers(1, MAX_DOMAIN[arity])), probs[0])
+    cod = random_poset(seed + 1, data.draw(st.integers(1, 5)), probs[1])
+    table = base(dom, cod, seed=seed, arity=arity)
+    keys = list(table.table)
+    overrides = data.draw(
+        st.dictionaries(
+            st.integers(0, len(keys) - 1), st.sampled_from(cod.elements), max_size=2
+        )
+    )
+    entries = dict(table.table)
+    entries.update((keys[k], value) for k, value in overrides.items())
+    _check_against_brute(MappingTable(dom, arity, cod, entries))

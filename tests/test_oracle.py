@@ -8,6 +8,7 @@ from posetlin import (
     EmptyPosetError,
     TooLargeError,
     brute_levels,
+    brute_preserves,
     build_poset,
     compute_levels,
     count_linear_extensions,
@@ -85,6 +86,12 @@ def test_enumerated_chains_are_maximal_chains():
 def test_chain_enumeration_cap():
     with pytest.raises(TooLargeError):
         enumerate_maximal_chains(antichain(15))
+
+
+def test_brute_preserves_cap():
+    table = {(i,): 0 for i in range(4097)}
+    with pytest.raises(TooLargeError):
+        brute_preserves(table, lambda i, j: i <= j, lambda u, v: u <= v)
 
 
 def test_linear_extension_counts():

@@ -11,7 +11,7 @@ from posetlin import (
     build_poset,
     enumerate_maximal_chains,
 )
-from helpers import antichain, chain, corpus, is_lattice_bruteforce
+from helpers import antichain, bounds_bruteforce, chain, corpus, is_lattice_bruteforce
 
 ABC_PAIRS = [("bot", "a"), ("a", "b"), ("b", "top"), ("bot", "c"), ("c", "top")]
 
@@ -175,3 +175,17 @@ def test_is_lattice_matches_bruteforce_bound_search():
     for p in POSET_CORPUS:
         if len(p) <= 8:
             assert p.is_lattice() == is_lattice_bruteforce(p)
+
+
+def test_sup_and_inf_match_bruteforce_bound_search():
+    for p in POSET_CORPUS:
+        if len(p) > 8:
+            continue
+        for x in p.elements:
+            for y in p.elements:
+                for query, found in zip((p.sup, p.inf), bounds_bruteforce(p, x, y)):
+                    if found:
+                        assert [query(x, y)] == found
+                    else:
+                        with pytest.raises(NotALatticeError):
+                            query(x, y)
