@@ -17,6 +17,7 @@ from .errors import (
     MissingTupleError,
     MixedArityError,
     NotALatticeError,
+    OracleMismatchError,
     ParseError,
     PosetlinError,
     PosetMismatchError,
@@ -56,6 +57,7 @@ from .mappings import (
 from .oracle import (
     SplitMix64,
     brute_levels,
+    brute_order,
     brute_preserves,
     count_linear_extensions,
     enumerate_maximal_chains,
@@ -81,6 +83,7 @@ __all__ = [
     "MissingTupleError",
     "MixedArityError",
     "NotALatticeError",
+    "OracleMismatchError",
     "PRIMAL",
     "ParseError",
     "Poset",
@@ -94,6 +97,7 @@ __all__ = [
     "TooLargeError",
     "UnknownElementError",
     "brute_levels",
+    "brute_order",
     "brute_preserves",
     "build_poset",
     "compute_levels",

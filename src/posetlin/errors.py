@@ -62,6 +62,10 @@ class EmptyInputError(PosetlinError):
     pass
 
 
+class OracleMismatchError(PosetlinError):
+    """The optimised result disagrees with the brute-force reference."""
+
+
 class ParseError(Exception):
     """Malformed input file; carries the offending line number."""
 

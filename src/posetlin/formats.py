@@ -60,14 +60,8 @@ def parse_poset(text):
     pairs = []
     for lineno, line in _logical_lines(text):
         fields = line.split()
-        if fields[0] == "elem":
-            if len(fields) != 2:
-                raise ParseError("expected 'elem NAME'", lineno)
-            name = fields[1]
-            _check_token(name, lineno)
-            declared.append(name)
-            seen.add(name)
-        elif len(fields) == 3 and fields[1] == "<":
+        # the edge form goes first: an element may be named "elem"
+        if len(fields) == 3 and fields[1] == "<":
             lower, upper = fields[0], fields[2]
             for name in (lower, upper):
                 _check_token(name, lineno)
@@ -75,6 +69,13 @@ def parse_poset(text):
                     declared.append(name)
                     seen.add(name)
             pairs.append((lower, upper))
+        elif fields[0] == "elem":
+            if len(fields) != 2:
+                raise ParseError("expected 'elem NAME'", lineno)
+            name = fields[1]
+            _check_token(name, lineno)
+            declared.append(name)
+            seen.add(name)
         else:
             raise ParseError(f"unrecognised line {line!r}", lineno)
     return build_poset(declared, pairs)

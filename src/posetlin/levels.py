@@ -48,7 +48,7 @@ class Linearisation:
 
     def project(self, x):
         """Level index of ``x``."""
-        self.source._require(x)
+        self.source.position(x)  # rejects an unknown element
         return self.class_of[x]
 
     def rank(self, level_index):
@@ -90,20 +90,11 @@ def compute_levels(p, direction=PRIMAL):
     _check_direction(direction)
     if len(p) == 0:
         raise EmptyPosetError("cannot linearise an empty poset")
-    if direction == PRIMAL:
-        successors = p.covers_above
-        processed_before = p.above
-    else:
-        successors = p.covers_below
-        processed_before = p.below
-    order = sorted(p.elements, key=lambda x: len(processed_before(x)))
-    class_of = {}
-    for x in order:
-        class_of[x] = 1 + max((class_of[y] for y in successors(x)), default=-1)
-    buckets = [[] for _ in range(1 + max(class_of.values()))]
-    for x in p.elements:
-        buckets[class_of[x]].append(x)
-    return Linearisation(p, direction, tuple(frozenset(b) for b in buckets), class_of)
+    layer, _ = p._layers(direction == PRIMAL)
+    bins = [[] for _ in range(1 + max(layer))]
+    for x, k in zip(p.elements, layer):
+        bins[k].append(x)
+    return Linearisation(p, direction, tuple(map(frozenset, bins)), dict(zip(p.elements, layer)))
 
 
 def satisfies_elcc(p):
@@ -116,13 +107,20 @@ def satisfies_elcc(p):
     exactly one (so all walks into an element have equal length) and every
     maximal element sits on the top dual level.
     """
-    dual = compute_levels(p, DUAL)
-    grade = dual.class_of
-    for x, y in p.cover_pairs:
-        if grade[y] != grade[x] + 1:
+    if len(p) == 0:
+        raise EmptyPosetError("cannot linearise an empty poset")
+    grade, cover_down = p._layers(False)
+    rows = [0] * (1 + max(grade))
+    for i, g in enumerate(grade):
+        rows[g] |= 1 << i
+    non_maximal = 0
+    for g, below in zip(grade, cover_down):
+        # grade 0 elements are minimal, so ``below`` is empty for them
+        if below & ~rows[g - 1]:
             return False
-    top = dual.num_classes - 1
-    return all(grade[x] == top for x in p.maximal_elements())
+        non_maximal |= below
+    # every element outside ``non_maximal`` is maximal and must sit on top
+    return rows[-1] | non_maximal == (1 << len(grade)) - 1
 
 
 def linearisations_equivalent(p):

@@ -4,14 +4,16 @@ Everything in this module favours being obviously correct over being fast and
 is guarded by hard size caps so exhaustive runs stay within test budgets.
 ``brute_levels`` re-derives the level partition straight from its defining
 set comprehension, independently of the longest-path layering used by
-``compute_levels``.
+``compute_levels``; ``brute_order`` re-derives the order and its covers from
+the raw generating pairs, independently of ``build_poset``.
 """
 
-from .errors import EmptyPosetError, TooLargeError
+from .errors import CycleError, EmptyPosetError, TooLargeError
 from .levels import PRIMAL, Linearisation, _check_direction
 from .poset import build_poset
 
 MAX_BRUTE_LEVELS = 64
+MAX_BRUTE_ORDER = 64
 MAX_BRUTE_TABLE = 4096
 MAX_CHAIN_ENUMERATION = 14
 MAX_EXTENSION_COUNT = 8
@@ -83,6 +85,41 @@ def brute_levels(p, direction=PRIMAL):
         assigned |= level
     class_of = {x: i for i, level in enumerate(levels) for x in level}
     return Linearisation(p, direction, tuple(levels), class_of)
+
+
+def brute_order(elements, pairs):
+    """Strict pairs and cover pairs of the order generated by ``pairs``, head on.
+
+    Closes the raw pairs with Warshall's algorithm on a boolean matrix and
+    keeps as covers the strict pairs with no element strictly between; the
+    reference for ``build_poset``, which expects valid element names.  Raises
+    ``CycleError`` naming the first declared element that lies on a cycle.
+    """
+    names = list(elements)
+    if len(names) > MAX_BRUTE_ORDER:
+        raise TooLargeError(f"brute_order is capped at {MAX_BRUTE_ORDER} elements")
+    index = {x: i for i, x in enumerate(names)}
+    n = len(names)
+    less = [[False] * n for _ in range(n)]
+    for x, y in pairs:
+        less[index[x]][index[y]] = True
+    for k in range(n):
+        for i in range(n):
+            if less[i][k]:
+                for j in range(n):
+                    if less[k][j]:
+                        less[i][j] = True
+    for i in range(n):
+        if less[i][i]:
+            raise CycleError(f"declared pairs create an order cycle through {names[i]!r}")
+    strict = [(i, j) for i in range(n) for j in range(n) if less[i][j]]
+    covers = [
+        (i, j) for i, j in strict if not any(less[i][k] and less[k][j] for k in range(n))
+    ]
+    return (
+        frozenset((names[i], names[j]) for i, j in strict),
+        frozenset((names[i], names[j]) for i, j in covers),
+    )
 
 
 def brute_preserves(table, leq, ok):

@@ -1,10 +1,11 @@
 """Finite posets with a validated strict order and its cover relation.
 
-A poset is stored through its strict part: ``above(x)`` is the set of
-elements strictly greater than ``x``.  ``x <= y`` is defined as ``x == y`` or
-``y in above(x)``.  The cover relation (transitive reduction) is derived at
-construction time and drives chain walks and rendering.  Elements keep their
-declaration order, so every derived listing is deterministic.
+Elements are numbered 0..n-1 in declaration order.  The order is four lists
+of ``int`` bitsets: bit ``j`` of ``up[i]`` is set iff element ``i`` is
+strictly below element ``j``, ``down`` is the mirror image, and
+``cover_up``/``cover_down`` hold the cover relation (transitive reduction).
+Order queries are bit tests; sets of names are built only at the API edge,
+once per element.  Every derived listing follows declaration order.
 """
 
 from .errors import (
@@ -20,33 +21,60 @@ def _check_name(name):
     if not isinstance(name, str) or not name:
         raise ValueError(f"element name must be a non-empty string, got {name!r}")
     if any(ch.isspace() for ch in name) or "<" in name or "#" in name:
-        raise ValueError(
-            f"element name may not contain whitespace, '<' or '#': {name!r}"
-        )
+        raise ValueError(f"element name may not contain whitespace, '<' or '#': {name!r}")
 
 
-def _transitive_closure(names, adjacency):
-    closure = {}
-    for x in names:
-        reach = set()
-        stack = list(adjacency[x])
-        while stack:
-            y = stack.pop()
-            if y in reach:
-                continue
-            reach.add(y)
-            stack.extend(adjacency[y] - reach)
-        closure[x] = reach
-    return closure
+def _indices(bits):
+    """Indices of the set bits of ``bits``, ascending."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
 
 
-def _transitive_reduction(names, closure):
-    # y covers x iff nothing in the closure sits strictly between them
-    reduction = {}
-    for x in names:
-        ups = closure[x]
-        reduction[x] = {y for y in ups if not any(y in closure[z] for z in ups)}
-    return reduction
+def _closure_and_covers(order, succ):
+    """Strict up-sets and upper covers, walking ``order`` backwards.
+
+    ``succ[i]`` lists the generating successors of ``i``, which all come after
+    it in ``order``; one of them covers ``i`` iff no successor's up-set holds
+    it (Aho, Garey & Ullman, "The transitive reduction of a directed graph").
+    """
+    up, cover = [0] * len(succ), [0] * len(succ)
+    for i in reversed(order):
+        adj = reach = 0
+        for j in succ[i]:
+            adj |= 1 << j
+            reach |= up[j]
+        up[i] = adj | reach
+        cover[i] = adj & ~reach
+    return up, cover
+
+
+def _on_cycle(i, succ):
+    """True iff element ``i`` reaches itself along ``succ``."""
+    seen, stack = set(), list(succ[i])
+    while stack:
+        j = stack.pop()
+        if j == i:
+            return True
+        if j not in seen:
+            seen.add(j)
+            stack.extend(succ[j])
+    return False
+
+
+class _NameSets(dict):
+    """Frozensets of names per element, built from ``bits`` on first access."""
+
+    def __init__(self, names, pos, bits):
+        self.names, self.pos, self.bits = names, pos, bits
+
+    def __missing__(self, x):
+        if x not in self.pos:
+            raise UnknownElementError(f"unknown element {x!r}")
+        bits = self.bits[self.pos[x]]
+        self[x] = names = frozenset(map(self.names.__getitem__, _indices(bits)))
+        return names
 
 
 def build_poset(elements, pairs):
@@ -59,47 +87,50 @@ def build_poset(elements, pairs):
     ``CycleError`` when the input does not describe a partial order.
     """
     names = list(elements)
-    seen = set()
+    pos = {}
     for name in names:
         _check_name(name)
-        if name in seen:
+        if name in pos:
             raise DuplicateElementError(f"duplicate element {name!r}")
-        seen.add(name)
-    adjacency = {x: set() for x in names}
+        pos[name] = len(pos)
+    succ, pred = [[] for _ in names], [[] for _ in names]
     for x, y in pairs:
         for name in (x, y):
-            if name not in seen:
-                raise UnknownElementError(
-                    f"unknown element {name!r} in pair ({x!r}, {y!r})"
-                )
-        adjacency[x].add(y)
-    closure = _transitive_closure(names, adjacency)
-    for x in names:
-        if x in closure[x]:
-            raise CycleError(f"declared pairs create an order cycle through {x!r}")
-    reduction = _transitive_reduction(names, closure)
-    return Poset(names, closure, reduction)
+            if name not in pos:
+                raise UnknownElementError(f"unknown element {name!r} in pair ({x!r}, {y!r})")
+        succ[pos[x]].append(pos[y])
+        pred[pos[y]].append(pos[x])
+    # Kahn's sort: an element is emitted once all its predecessors are
+    indegree = [len(p) for p in pred]
+    order = [i for i, d in enumerate(indegree) if not d]
+    for i in order:
+        for j in succ[i]:
+            indegree[j] -= 1
+            if not indegree[j]:
+                order.append(j)
+    if len(order) < len(names):
+        # the elements left unsorted lie on a cycle or downstream of one
+        name = next(x for i, x in enumerate(names) if indegree[i] and _on_cycle(i, succ))
+        raise CycleError(f"declared pairs create an order cycle through {name!r}")
+    up, cover_up = _closure_and_covers(order, succ)
+    down, cover_down = _closure_and_covers(order[::-1], pred)
+    return Poset(names, pos, order, up, down, cover_up, cover_down)
 
 
 class Poset:
     """Immutable finite poset.  Use :func:`build_poset` to construct one."""
 
-    __slots__ = ("elements", "_pos", "_up", "_down", "_cover_up", "_cover_down")
+    __slots__ = ("elements", "_pos", "_order", "_up", "_down", "_cover_up",
+                 "_cover_down", "_above", "_below", "_covers_above", "_covers_below")
 
-    def __init__(self, names, closure, reduction):
-        self.elements = tuple(names)
-        self._pos = {x: i for i, x in enumerate(self.elements)}
-        self._up = {x: frozenset(closure[x]) for x in self.elements}
-        self._cover_up = {x: frozenset(reduction[x]) for x in self.elements}
-        down = {x: set() for x in self.elements}
-        cover_down = {x: set() for x in self.elements}
-        for x in self.elements:
-            for y in self._up[x]:
-                down[y].add(x)
-            for y in self._cover_up[x]:
-                cover_down[y].add(x)
-        self._down = {x: frozenset(down[x]) for x in self.elements}
-        self._cover_down = {x: frozenset(cover_down[x]) for x in self.elements}
+    def __init__(self, names, pos, order, up, down, cover_up, cover_down):
+        self.elements = names = tuple(names)
+        self._pos, self._order = pos, order
+        self._up, self._down, self._cover_up, self._cover_down = up, down, cover_up, cover_down
+        self._above = _NameSets(names, pos, up)
+        self._below = _NameSets(names, pos, down)
+        self._covers_above = _NameSets(names, pos, cover_up)
+        self._covers_below = _NameSets(names, pos, cover_down)
 
     def __len__(self):
         return len(self.elements)
@@ -116,152 +147,152 @@ class Poset:
         return self.elements == other.elements and self._up == other._up
 
     def __repr__(self):
-        return f"Poset({len(self.elements)} elements, {len(self.strict_pairs)} strict pairs)"
+        return f"Poset({len(self.elements)} elements, {self._pair_counts()[0]} strict pairs)"
 
     def position(self, x):
         """Declaration index of ``x``."""
-        self._require(x)
-        return self._pos[x]
+        try:
+            return self._pos[x]
+        except KeyError:
+            raise self._unknown(x) from None
 
-    def _require(self, x):
-        if x not in self._pos:
-            raise UnknownElementError(f"unknown element {x!r}")
+    def _unknown(self, *names):
+        """The error naming the first of ``names`` that is not an element."""
+        name = next(x for x in names if x not in self._pos)
+        return UnknownElementError(f"unknown element {name!r}")
 
-    def _as_subset(self, subset):
-        if subset is None:
-            return frozenset(self.elements)
-        members = frozenset(subset)
-        for x in members:
-            self._require(x)
-        return members
+    def _pair_counts(self):
+        """Numbers of strict pairs and of cover pairs, package-internal."""
+        return sum(map(int.bit_count, self._up)), sum(map(int.bit_count, self._cover_up))
+
+    def _layers(self, upward):
+        """Package-internal ``(layer, covers)``: ``layer[i]`` counts the cover
+        steps of the longest walk from element ``i`` up to a maximal element
+        (``upward``) or down to a minimal one, along the bitsets ``covers``."""
+        covers = self._cover_up if upward else self._cover_down
+        order = reversed(self._order) if upward else self._order
+        layer = [0] * len(covers)
+        for i in order:
+            layer[i] = 1 + max((layer[j] for j in _indices(covers[i])), default=-1)
+        return layer, covers
+
+    def _pairs(self, rows):
+        names = self.elements
+        return frozenset((x, names[j]) for x, bits in zip(names, rows) for j in _indices(bits))
 
     @property
     def strict_pairs(self):
         """All pairs (x, y) with x < y, as a frozenset."""
-        return frozenset((x, y) for x in self.elements for y in self._up[x])
+        return self._pairs(self._up)
 
     @property
     def cover_pairs(self):
         """All pairs (x, y) with y covering x, as a frozenset."""
-        return frozenset((x, y) for x in self.elements for y in self._cover_up[x])
+        return self._pairs(self._cover_up)
 
     def above(self, x):
         """Elements strictly greater than ``x``."""
-        self._require(x)
-        return self._up[x]
+        return self._above[x]
 
     def below(self, x):
         """Elements strictly smaller than ``x``."""
-        self._require(x)
-        return self._down[x]
+        return self._below[x]
 
     def covers_above(self, x):
-        self._require(x)
-        return self._cover_up[x]
+        return self._covers_above[x]
 
     def covers_below(self, x):
-        self._require(x)
-        return self._cover_down[x]
+        return self._covers_below[x]
 
     def lt(self, x, y):
-        self._require(x)
-        self._require(y)
-        return y in self._up[x]
+        try:
+            i, j = self._pos[x], self._pos[y]
+        except KeyError:
+            raise self._unknown(x, y) from None
+        return self._up[i] >> j & 1 == 1
 
     def leq(self, x, y):
-        self._require(x)
-        self._require(y)
-        return x == y or y in self._up[x]
+        try:
+            i, j = self._pos[x], self._pos[y]
+        except KeyError:
+            raise self._unknown(x, y) from None
+        return i == j or self._up[i] >> j & 1 == 1
 
     def incomparable(self, x, y):
-        self._require(x)
-        self._require(y)
-        return x != y and y not in self._up[x] and x not in self._up[y]
+        try:
+            i, j = self._pos[x], self._pos[y]
+        except KeyError:
+            raise self._unknown(x, y) from None
+        return i != j and (self._up[i] | self._down[i]) >> j & 1 == 0
 
     def is_linear(self):
         """True iff every pair of distinct elements is comparable."""
-        return all(
-            not self.incomparable(x, y)
-            for i, x in enumerate(self.elements)
-            for y in self.elements[i + 1 :]
-        )
+        full = (1 << len(self.elements)) - 1
+        return all(u | d | 1 << i == full for i, (u, d) in enumerate(zip(self._up, self._down)))
+
+    def _extremes(self, subset, sets):
+        members = (1 << len(self.elements)) - 1 if subset is None else 0
+        for x in frozenset(subset or ()):
+            members |= 1 << self.position(x)
+        return tuple(x for i, (x, s) in enumerate(zip(self.elements, sets))
+                     if members >> i & 1 and not s & members)
 
     def maximal_elements(self, subset=None):
         """Members of ``subset`` (default: all) with no strict upper bound in it.
 
         Returned in declaration order.
         """
-        members = self._as_subset(subset)
-        return tuple(
-            x for x in self.elements if x in members and not (self._up[x] & members)
-        )
+        return self._extremes(subset, self._up)
 
     def minimal_elements(self, subset=None):
-        members = self._as_subset(subset)
-        return tuple(
-            x for x in self.elements if x in members and not (self._down[x] & members)
-        )
+        return self._extremes(subset, self._down)
 
     def longest_chain_length(self):
         """Maximum number of elements in a chain, via longest-path DP on covers."""
         if not self.elements:
             return 0
-        # sorting by |below| yields a linear extension, so each element is
-        # processed after everything under it
-        order = sorted(self.elements, key=lambda x: len(self._down[x]))
-        height = {}
-        for x in order:
-            height[x] = 1 + max((height[y] for y in self._cover_down[x]), default=0)
-        return max(height.values())
+        layer, _ = self._layers(False)
+        return 1 + max(layer)
 
-    @staticmethod
-    def _best_bound(x, y, up):
-        """The common bound of ``x`` and ``y`` below all the others, or None.
-
-        ``up`` holds strict up-sets for ``sup`` or strict down-sets for ``inf``.
-        That bound has every other bound in its set, so only the bound with
-        the largest set needs the subset test.
-        """
-        bounds = (up[x] | {x}) & (up[y] | {y})
-        if not bounds:
-            return None
-        best = max(bounds, key=lambda z: len(up[z]))
-        return best if bounds <= up[best] | {best} else None
+    def _bound(self, x, y, sets):
+        """The element whose reflexive set in ``sets`` is the intersection of
+        those of ``x`` and ``y``: their least upper bound for up-sets, their
+        greatest lower bound for down-sets.  None if no element has that set."""
+        try:
+            i, j = self._pos[x], self._pos[y]
+        except KeyError:
+            raise self._unknown(x, y) from None
+        common = (sets[i] | 1 << i) & (sets[j] | 1 << j)
+        found = [k for k in _indices(common) if sets[k] | 1 << k == common]
+        return self.elements[found[0]] if found else None
 
     def is_lattice(self):
         """True iff every pair of elements has a least upper and greatest lower bound."""
-        for i, x in enumerate(self.elements):
-            for y in self.elements[i + 1 :]:
-                if self._best_bound(x, y, self._up) is None:
-                    return False
-                if self._best_bound(x, y, self._down) is None:
+        for sets in (self._up, self._down):
+            reflexive = [s | 1 << i for i, s in enumerate(sets)]
+            owned = set(reflexive)
+            for i, a in enumerate(reflexive):
+                if not {a & b for b in reflexive[i + 1 :]} <= owned:
                     return False
         return True
 
     def sup(self, x, y):
         """Least upper bound of ``{x, y}``; raises ``NotALatticeError`` if absent."""
-        self._require(x)
-        self._require(y)
-        bound = self._best_bound(x, y, self._up)
+        bound = self._bound(x, y, self._up)
         if bound is None:
             raise NotALatticeError(f"no least upper bound for {x!r} and {y!r}")
         return bound
 
     def inf(self, x, y):
         """Greatest lower bound of ``{x, y}``; raises ``NotALatticeError`` if absent."""
-        self._require(x)
-        self._require(y)
-        bound = self._best_bound(x, y, self._down)
+        bound = self._bound(x, y, self._down)
         if bound is None:
             raise NotALatticeError(f"no greatest lower bound for {x!r} and {y!r}")
         return bound
 
     def tuple_leq(self, xs, ys):
         """Componentwise order on same-length tuples of elements."""
-        xs = tuple(xs)
-        ys = tuple(ys)
+        xs, ys = tuple(xs), tuple(ys)
         if len(xs) != len(ys):
-            raise ArityMismatchError(
-                f"tuples have different lengths: {len(xs)} and {len(ys)}"
-            )
+            raise ArityMismatchError(f"tuples have different lengths: {len(xs)} and {len(ys)}")
         return all(self.leq(x, y) for x, y in zip(xs, ys))

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from posetlin import Linearisation, cli
 from posetlin.cli import main
 
 ABC_FILE = """\
@@ -86,6 +87,29 @@ def test_levels_oracle_cross_check(files, capsys):
     poset = files("abc.poset", ABC_FILE)
     code, _, _ = run(capsys, "levels", poset, "--oracle")
     assert code == 0
+
+
+def test_levels_oracle_mismatch_names_the_first_differing_element(files, capsys, monkeypatch):
+    poset = files("abc.poset", ABC_FILE)
+    brute_levels = cli.brute_levels
+
+    def perturbed(p, direction):
+        lin = brute_levels(p, direction)
+        class_of = {**lin.class_of, "c": 2, "top": 3}
+        return Linearisation(lin.source, lin.direction, lin.levels, class_of)
+
+    monkeypatch.setattr(cli, "brute_levels", perturbed)
+    code, out, err = run(capsys, "levels", poset, "--oracle")
+    assert (code, out) == (1, "")
+    assert err == "error: level of 'c' is 1, brute force gives 2\n"
+
+
+def test_elcc_oracle_mismatch_names_the_chain_lengths(files, capsys, monkeypatch):
+    abc = files("abc.poset", ABC_FILE)
+    monkeypatch.setattr(cli, "satisfies_elcc", lambda p: True)
+    code, out, err = run(capsys, "elcc", abc, "--oracle")
+    assert (code, out) == (1, "")
+    assert err == "error: ELCC True disagrees with chain lengths [3, 4]\n"
 
 
 def test_elcc(files, capsys):

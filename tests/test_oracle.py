@@ -5,9 +5,11 @@ import pytest
 from posetlin import (
     DUAL,
     PRIMAL,
+    CycleError,
     EmptyPosetError,
     TooLargeError,
     brute_levels,
+    brute_order,
     brute_preserves,
     build_poset,
     compute_levels,
@@ -92,6 +94,20 @@ def test_brute_preserves_cap():
     table = {(i,): 0 for i in range(4097)}
     with pytest.raises(TooLargeError):
         brute_preserves(table, lambda i, j: i <= j, lambda u, v: u <= v)
+
+
+def test_brute_order_on_the_worked_example(abc_lattice):
+    covers = [("bot", "a"), ("a", "b"), ("b", "top"), ("bot", "c"), ("c", "top")]
+    strict, cover = brute_order(abc_lattice.elements, covers + [("bot", "top")])
+    assert strict == abc_lattice.strict_pairs
+    assert cover == frozenset(covers)
+    with pytest.raises(CycleError, match="'y'"):
+        brute_order(["x", "y", "z"], [("x", "y"), ("y", "z"), ("z", "y")])
+
+
+def test_brute_order_cap():
+    with pytest.raises(TooLargeError):
+        brute_order([f"x{i}" for i in range(65)], [])
 
 
 def test_linear_extension_counts():

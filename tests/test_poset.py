@@ -1,17 +1,29 @@
 """Construction, validation and elementary order queries."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posetlin import (
     ArityMismatchError,
     CycleError,
     DuplicateElementError,
     NotALatticeError,
+    SplitMix64,
     UnknownElementError,
+    brute_order,
     build_poset,
     enumerate_maximal_chains,
 )
-from helpers import antichain, bounds_bruteforce, chain, corpus, is_lattice_bruteforce
+from helpers import (
+    antichain,
+    boolean_lattice_3,
+    bounds_bruteforce,
+    chain,
+    corpus,
+    grid_poset,
+    is_lattice_bruteforce,
+)
 
 ABC_PAIRS = [("bot", "a"), ("a", "b"), ("b", "top"), ("bot", "c"), ("c", "top")]
 
@@ -40,6 +52,14 @@ def test_two_cycle_is_rejected():
 def test_self_pair_is_rejected():
     with pytest.raises(CycleError):
         build_poset(["x"], [("x", "x")])
+
+
+def test_cycle_error_names_the_first_declared_element_on_the_cycle():
+    # "d" is declared first but sits downstream of the cycle a < b < a,
+    # "u" sits upstream of it
+    with pytest.raises(CycleError) as excinfo:
+        build_poset(["d", "u", "a", "b"], [("u", "a"), ("a", "b"), ("b", "a"), ("a", "d")])
+    assert str(excinfo.value) == "declared pairs create an order cycle through 'a'"
 
 
 def test_duplicate_element_is_rejected():
@@ -189,3 +209,156 @@ def test_sup_and_inf_match_bruteforce_bound_search():
                     else:
                         with pytest.raises(NotALatticeError):
                             query(x, y)
+
+
+def _shuffle(rng, items):
+    items = list(items)
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.below(i + 1)
+        items[i], items[j] = items[j], items[i]
+    return items
+
+
+def generating_set(seed):
+    """Seeded (elements, pairs): a random DAG, a chain or a grid by ``seed % 3``.
+
+    The pairs carry redundant pairs (implied by others) and repeated pairs in
+    shuffled order, and the elements are declared in shuffled order.
+    """
+    rng = SplitMix64(seed)
+    kind = seed % 3
+    if kind == 0:
+        n = 1 + rng.below(40)
+        names = [f"r{i}" for i in range(n)]
+        # every pair along a hidden linear order, with probability 0.2
+        pairs = [
+            (names[i], names[j])
+            for i in range(n)
+            for j in range(i + 1, n)
+            if rng.chance(0.2)
+        ]
+    elif kind == 1:
+        n = 1 + rng.below(40)
+        names = [f"c{i}" for i in range(n)]
+        pairs = list(zip(names, names[1:]))
+        pairs += [
+            (names[i], names[j])
+            for i in range(n)
+            for j in range(i + 2, n)
+            if rng.chance(0.05)
+        ]
+    else:
+        rows, cols = 1 + rng.below(6), 1 + rng.below(6)
+        names = [f"g{i}_{j}" for i in range(rows) for j in range(cols)]
+        pairs = []
+        for i in range(rows):
+            for j in range(cols):
+                if i + 1 < rows:
+                    pairs.append((f"g{i}_{j}", f"g{i + 1}_{j}"))
+                if j + 1 < cols:
+                    pairs.append((f"g{i}_{j}", f"g{i}_{j + 1}"))
+                if i + 1 < rows and j + 1 < cols and rng.chance(0.3):
+                    pairs.append((f"g{i}_{j}", f"g{i + 1}_{j + 1}"))
+    pairs += [pairs[rng.below(len(pairs))] for _ in range(len(pairs) // 4)]
+    return _shuffle(rng, names), _shuffle(rng, pairs)
+
+
+@pytest.mark.parametrize("seed", range(7000, 7090))
+def test_build_matches_the_warshall_reference(seed):
+    elements, pairs = generating_set(seed)
+    strict, covers = brute_order(elements, pairs)
+    p = build_poset(elements, pairs)
+    assert p.elements == tuple(elements)
+    assert p.strict_pairs == strict
+    assert p.cover_pairs == covers
+
+
+@st.composite
+def generating_pairs(draw):
+    n = draw(st.integers(0, 12))
+    names = [f"n{i}" for i in range(n)]
+    if not n:
+        return names, []
+    index = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(index, index), max_size=30))
+    if draw(st.booleans()):
+        # keep the pairs that rise along a drawn linear order: no cycle
+        height = draw(st.permutations(range(n)))
+        pairs = [(i, j) for i, j in pairs if height[i] < height[j]]
+    return names, [(names[i], names[j]) for i, j in pairs]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(generating_pairs())
+def test_build_matches_the_warshall_reference_on_drawn_pairs(drawn):
+    elements, pairs = drawn
+    try:
+        expected = brute_order(elements, pairs)
+    except CycleError as exc:
+        with pytest.raises(CycleError) as excinfo:
+            build_poset(elements, pairs)
+        assert str(excinfo.value) == str(exc)
+        return
+    p = build_poset(elements, pairs)
+    assert (p.strict_pairs, p.cover_pairs) == expected
+
+
+def _without(p, x):
+    """``p`` with the element ``x`` removed."""
+    return build_poset(
+        [y for y in p.elements if y != x],
+        [pair for pair in p.strict_pairs if x not in pair],
+    )
+
+
+def _doubled_top(n):
+    """A chain of ``n`` elements with a second, incomparable top element."""
+    names = [f"x{i}" for i in range(n)]
+    return build_poset(names + ["t"], list(zip(names, names[1:])) + [(names[-2], "t")])
+
+
+def named_shapes():
+    """Grids up to 5x5, the boolean lattice on 3 atoms and chains up to 20,
+    each beside a non-lattice of the same shape."""
+    shapes = []
+    for rows in range(1, 6):
+        for cols in range(rows, 6):
+            grid = grid_poset(rows, cols)
+            shapes.append((f"grid{rows}x{cols}", grid))
+            if rows > 1:
+                shapes.append((f"grid{rows}x{cols}-top", _without(grid, f"g{rows - 1}{cols - 1}")))
+    cube = boolean_lattice_3()
+    # without its bottom the cube still has every join, but no meets
+    shapes += [("boolean3", cube), ("boolean3-bottom", _without(cube, "e"))]
+    for n in (1, 2, 3, 5, 8, 13, 20):
+        shapes.append((f"chain{n}", chain(n)))
+        if n > 1:
+            shapes.append((f"chain{n}-doubled-top", _doubled_top(n)))
+    return shapes
+
+
+NAMED_SHAPES = named_shapes()
+
+
+@pytest.mark.parametrize("p", [p for _, p in NAMED_SHAPES], ids=[n for n, _ in NAMED_SHAPES])
+def test_is_lattice_matches_bruteforce_on_named_shapes(p):
+    assert p.is_lattice() == is_lattice_bruteforce(p)
+
+
+@pytest.mark.parametrize("p", [p for _, p in NAMED_SHAPES], ids=[n for n, _ in NAMED_SHAPES])
+def test_sup_and_inf_match_bruteforce_on_named_shapes(p):
+    for x in p.elements:
+        for y in p.elements:
+            for query, found in zip((p.sup, p.inf), bounds_bruteforce(p, x, y)):
+                if found:
+                    assert [query(x, y)] == found
+                else:
+                    with pytest.raises(NotALatticeError):
+                        query(x, y)
+
+
+def test_named_shapes_include_lattices_and_non_lattices():
+    verdicts = {name: p.is_lattice() for name, p in NAMED_SHAPES}
+    assert verdicts["grid5x5"] and verdicts["boolean3"] and verdicts["chain20"]
+    assert not verdicts["grid5x5-top"] and not verdicts["boolean3-bottom"]
+    assert not verdicts["chain20-doubled-top"]
