@@ -55,10 +55,12 @@ from .mappings import (
     impossibility_witness,
 )
 from .oracle import (
+    MAX_BRUTE_RANK,
     SplitMix64,
     brute_levels,
     brute_order,
     brute_preserves,
+    brute_rank,
     count_linear_extensions,
     enumerate_maximal_chains,
     random_poset,
@@ -79,6 +81,7 @@ __all__ = [
     "ImpossibilityWitness",
     "Linearisation",
     "LinearLatticeError",
+    "MAX_BRUTE_RANK",
     "MappingTable",
     "MissingTupleError",
     "MixedArityError",
@@ -99,6 +102,7 @@ __all__ = [
     "brute_levels",
     "brute_order",
     "brute_preserves",
+    "brute_rank",
     "build_poset",
     "compute_levels",
     "count_linear_extensions",

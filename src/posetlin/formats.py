@@ -25,20 +25,26 @@ Ranks files::
 
     name rank          # rank is an integer; every element needs exactly one
 
-Scores are compared exactly: the decimal strings are parsed to rationals, so
-ordering never depends on floating point rounding.
+Scores are compared exactly: the strings are parsed to rationals (any form
+``Fraction`` accepts, decimal exponents up to 4300 in magnitude), which
+``rank_items`` sweeps in sorted order as integers at one common scale.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import EmptyInputError, ParseError
-from .levels import PRIMAL, Linearisation, _check_direction, compute_levels
+from .levels import PRIMAL, Linearisation, _check_direction
 from .mappings import ClassMapping, MappingTable
 from .poset import build_poset
+
+_MAX_EXPONENT = 4300  # the int digit limit; Fraction("1e10000000") takes seconds
+_MAX_SCALE_BITS = 4096
 
 
 def _logical_lines(text):
@@ -144,6 +150,10 @@ def parse_scores(text):
         if name in names:
             raise ParseError(f"duplicate item {name!r}", lineno)
         try:
+            for text in (lo_text, hi_text):
+                mark, exponent = text.upper().rpartition("E")[1:]
+                if mark and abs(int(exponent)) > _MAX_EXPONENT:
+                    raise ParseError(f"exponent of {text!r} exceeds {_MAX_EXPONENT}", lineno)
             lo = Fraction(lo_text)
             hi = Fraction(hi_text)
         except (ValueError, ZeroDivisionError):
@@ -195,11 +205,13 @@ class Ranking:
 def rank_items(items, k, direction=PRIMAL):
     """Rank interval-scored items by dominance, best class first.
 
-    Builds the dominance order on the distinct interval values ([a, b]
-    dominates [c, d] downward iff c <= a and d <= b), linearises it in the
-    given direction and emits whole classes in descending class order until
-    at least ``k`` items are out.  Classes are never split, so the output may
-    exceed ``k`` items.
+    Classes are the levels of the dominance order on the distinct intervals
+    ([a, b] dominates [c, d] iff c <= a and d <= b), found without building
+    it: scores become integers at the lcm of their denominators (negated if
+    primal), pairs are swept in ascending order, and a pair's level is the
+    number of tails at or below its hi (layers of maxima, O(m log m)).  Whole
+    classes (never split, items and intervals in file order) go out best
+    first until at least ``k`` items are out.
     """
     _check_direction(direction)
     if k < 1:
@@ -207,32 +219,40 @@ def rank_items(items, k, direction=PRIMAL):
     items = list(items)
     if not items:
         raise EmptyInputError("no scored items to rank")
-    name_of = {}
-    texts = {}
-    values = []
+    scale = 1
+    for d in {v.denominator for it in items for v in (it.lo, it.hi)}:
+        scale = lcm(scale, d)
+        if scale.bit_length() > _MAX_SCALE_BITS:  # coprime denominators: keys
+            scale = None  # would grow without bound, so compare the Fractions
+            break
+    sign = -1 if direction == PRIMAL else 1
+
+    def key(v):
+        return sign * v if scale is None else sign * v.numerator * (scale // v.denominator)
+    slot_of = {}
+    texts = []
+    slots = []
     for it in items:
-        value = (it.lo, it.hi)
-        if value not in name_of:
-            name_of[value] = f"{it.lo_text},{it.hi_text}"
-            texts[name_of[value]] = (it.lo_text, it.hi_text)
-            values.append(value)
-    names = [name_of[v] for v in values]
-    pairs = [
-        (name_of[u], name_of[v])
-        for u in values
-        for v in values
-        if u != v and u[0] <= v[0] and u[1] <= v[1]
-    ]
-    lin = compute_levels(build_poset(names, pairs), direction)
+        slot = slot_of.setdefault((key(it.lo), key(it.hi)), len(texts))
+        if slot == len(texts):
+            texts.append((it.lo_text, it.hi_text))
+        slots.append(slot)
+    level = [0] * len(texts)
+    tails = []
+    for (_, hi), s in sorted(zip(slot_of, range(len(texts)))):
+        level[s] = i = bisect_right(tails, hi)
+        tails[i:i + 1] = [hi]  # replaces tails[i], or appends a new level
+    names = [[] for _ in tails]
+    intervals = [[] for _ in tails]
+    for it, s in zip(items, slots):
+        names[level[s]].append(it.item)
+    for s, text in enumerate(texts):
+        intervals[level[s]].append(text)
     groups = []
     emitted = 0
-    for cls in reversed(lin.classes_ascending()):
-        members = set(cls)
-        group_items = tuple(
-            it.item for it in items if name_of[(it.lo, it.hi)] in members
-        )
-        groups.append(RankGroup(group_items, tuple(texts[name] for name in cls)))
-        emitted += len(group_items)
+    for i in range(len(tails)) if direction == PRIMAL else reversed(range(len(tails))):
+        groups.append(RankGroup(tuple(names[i]), tuple(intervals[i])))
+        emitted += len(names[i])
         if emitted >= k:
             break
     return Ranking(direction, k, tuple(groups))

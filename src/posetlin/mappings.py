@@ -244,11 +244,12 @@ def impossibility_witness(lattice, ranks):
             raise UnknownElementError(f"no rank given for element {x!r}")
     if not lattice.is_lattice():
         raise NotALatticeError("witness construction needs a lattice")
-    for x, y in lattice.strict_pairs:
-        if not ranks[x] < ranks[y]:
-            raise RanksNotOrderPreservingError(
-                f"{x!r} < {y!r} but rank({x}) = {ranks[x]} >= rank({y}) = {ranks[y]}"
-            )
+    for x in lattice.elements:  # declaration order names the same pair every run
+        for y in sorted(lattice.above(x), key=lattice.position):
+            if not ranks[x] < ranks[y]:
+                raise RanksNotOrderPreservingError(
+                    f"{x!r} < {y!r} but rank({x}) = {ranks[x]} >= rank({y}) = {ranks[y]}"
+                )
     pair = None
     for i, x in enumerate(lattice.elements):
         for y in lattice.elements[i + 1 :]:

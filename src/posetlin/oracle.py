@@ -5,15 +5,19 @@ is guarded by hard size caps so exhaustive runs stay within test budgets.
 ``brute_levels`` re-derives the level partition straight from its defining
 set comprehension, independently of the longest-path layering used by
 ``compute_levels``; ``brute_order`` re-derives the order and its covers from
-the raw generating pairs, independently of ``build_poset``.
+the raw generating pairs, independently of ``build_poset``; ``brute_rank``
+ranks interval scores through the explicit dominance poset, independently of
+the integer sweep in ``rank_items``.
 """
 
-from .errors import CycleError, EmptyPosetError, TooLargeError
-from .levels import PRIMAL, Linearisation, _check_direction
+from .errors import CycleError, EmptyInputError, EmptyPosetError, TooLargeError
+from .formats import RankGroup, Ranking
+from .levels import PRIMAL, Linearisation, _check_direction, compute_levels
 from .poset import build_poset
 
 MAX_BRUTE_LEVELS = 64
 MAX_BRUTE_ORDER = 64
+MAX_BRUTE_RANK = 64
 MAX_BRUTE_TABLE = 4096
 MAX_CHAIN_ENUMERATION = 14
 MAX_EXTENSION_COUNT = 8
@@ -137,6 +141,54 @@ def brute_preserves(table, leq, ok):
             if all(map(leq, xs, ys)) and not ok(u, v):
                 return False
     return True
+
+
+def brute_rank(items, k, direction=PRIMAL):
+    """Ranking of interval-scored items through the dominance poset itself.
+
+    Lists every dominated pair of distinct ``(lo, hi)`` values, compared as
+    rationals, builds that order with ``build_poset``, linearises it with
+    ``compute_levels`` and emits whole classes best first until at least
+    ``k`` items are out.  Output equals ``rank_items(items, k, direction)``
+    exactly; capped at ``MAX_BRUTE_RANK`` distinct intervals.
+    """
+    _check_direction(direction)
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    items = list(items)
+    if not items:
+        raise EmptyInputError("no scored items to rank")
+    name_of = {}
+    texts = {}
+    values = []
+    for it in items:
+        value = (it.lo, it.hi)
+        if value not in name_of:
+            name_of[value] = f"{it.lo_text},{it.hi_text}"
+            texts[name_of[value]] = (it.lo_text, it.hi_text)
+            values.append(value)
+    if len(values) > MAX_BRUTE_RANK:
+        raise TooLargeError(f"brute_rank is capped at {MAX_BRUTE_RANK} distinct intervals")
+    names = [name_of[v] for v in values]
+    pairs = [
+        (name_of[u], name_of[v])
+        for u in values
+        for v in values
+        if u != v and u[0] <= v[0] and u[1] <= v[1]
+    ]
+    lin = compute_levels(build_poset(names, pairs), direction)
+    groups = []
+    emitted = 0
+    for cls in reversed(lin.classes_ascending()):
+        members = set(cls)
+        group_items = tuple(
+            it.item for it in items if name_of[(it.lo, it.hi)] in members
+        )
+        groups.append(RankGroup(group_items, tuple(texts[name] for name in cls)))
+        emitted += len(group_items)
+        if emitted >= k:
+            break
+    return Ranking(direction, k, tuple(groups))
 
 
 def enumerate_maximal_chains(p):

@@ -1,9 +1,14 @@
 """End-to-end CLI behaviour, including exit codes and JSON output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import posetlin
 from posetlin import Linearisation, cli
 from posetlin.cli import main
 
@@ -206,6 +211,24 @@ def test_witness_with_rank_violation_is_a_domain_error(files, capsys):
     assert "rank" in err
 
 
+def test_witness_names_the_first_violated_pair_under_every_hash_seed(files):
+    # the rank check once iterated a frozenset, so the message followed the
+    # string hash seed
+    lattice = files("abc.poset", "bot < a\nbot < c\na < b\nb < top\nc < top\n")
+    ranks = files("ranks.txt", "bot 3\na 1\nb 2\nc 1\ntop 0\n")
+    src = str(Path(posetlin.__file__).resolve().parents[1])
+    messages = set()
+    for seed in ("1", "2", "3", "4", "5", "6"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "posetlin", "witness", lattice, ranks],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 1
+        messages.add(done.stderr)
+    assert messages == {"error: 'bot' < 'a' but rank(bot) = 3 >= rank(a) = 1\n"}
+
+
 def test_witness_on_a_chain_is_a_domain_error(files, capsys):
     chain_file = files("chain.poset", "a < b\nb < c\n")
     ranks = files("ranks.txt", "a 0\nb 1\nc 2\n")
@@ -243,6 +266,13 @@ def test_parse_errors_exit_with_2(files, capsys):
     code, _, err = run(capsys, "levels", bad)
     assert code == 2
     assert "line 2" in err
+
+
+def test_rank_score_exponent_beyond_the_bound_exits_with_2(files, capsys):
+    scores = files("scores.txt", "q 0.2 0.4\np 0 1e4301\n")
+    code, out, err = run(capsys, "rank", scores, "-k", "1")
+    assert (code, out) == (2, "")
+    assert "line 2: exponent of '1e4301' exceeds 4300" in err
 
 
 def test_domain_errors_exit_with_1(files, capsys):

@@ -1,10 +1,14 @@
 """File parsing, rendering, ranking, and canonical JSON."""
 
+import sys
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posetlin import (
+    DIRECTIONS,
     DUAL,
     PRIMAL,
     CycleError,
@@ -12,8 +16,10 @@ from posetlin import (
     EmptyInputError,
     MissingTupleError,
     ParseError,
+    SplitMix64,
     TooLargeError,
     UnknownElementError,
+    brute_rank,
     build_poset,
     compute_levels,
     emit_json,
@@ -110,7 +116,7 @@ def posets(draw):
     )
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@settings(max_examples=100)
 @given(posets())
 def test_render_round_trip_property(p):
     assert parse_poset(render_poset(p)) == p
@@ -273,6 +279,125 @@ def test_rank_respects_dominance():
         )
     }
     assert set(ranking.groups[0].items) == top
+
+
+def test_parse_scores_bounds_the_decimal_exponent():
+    # just above the bound, so a missing check still fails fast
+    for line in ("p 0 1e4301", "p 1e-4301 1", "p 0 1E+4_301"):
+        with pytest.raises(ParseError, match="line 1: exponent of .* exceeds 4300"):
+            parse_scores(line + "\n")
+    (item,) = parse_scores("p 1e-4300 1e4300\n")
+    assert (item.lo, item.hi) == (Fraction(1, 10**4300), 10**4300)
+
+
+def score_text(quarters, form):
+    """``quarters / 4`` spelt as a decimal, a padded decimal, an exponent form
+    or a fraction: 0.5, 0.50, 5e-1 and 1/2 all name one value."""
+    q = 25 * quarters  # the value in hundredths
+    if form == 3:
+        return str(Fraction(quarters, 4))
+    if form == 2:
+        exponent = -2
+        while q and q % 10 == 0:
+            q, exponent = q // 10, exponent + 1
+        return f"{q}e{exponent}"
+    whole, cents = divmod(abs(q), 100)
+    digits = f"{cents:02d}".rstrip("0") or "0"
+    return f"{'-' if q < 0 else ''}{whole}.{digits}" + "0" * form
+
+
+RANK_FORMS = """\
+a 0.5 0.75
+b 0.50 0.750
+c 5e-1 3/4
+d 1/2 1/2
+e -0.25 0.5
+f 0.5 1
+g -1/4 -25e-2
+h 0.75 0.75
+i 0.5 0.8
+"""
+
+
+def assert_ranks_like_the_reference(items, ks):
+    for direction in DIRECTIONS:
+        for k in ks:
+            expected = emit_json(brute_rank(items, k, direction))
+            assert emit_json(rank_items(items, k, direction)) == expected, (direction, k)
+
+
+def test_rank_matches_the_reference_on_every_number_form():
+    # duplicates across spellings, lo == hi, equal lo with different hi,
+    # negative values
+    items = parse_scores(RANK_FORMS)
+    assert_ranks_like_the_reference(items, range(1, len(items) + 2))
+
+
+@pytest.mark.parametrize("seed", range(9000, 9040))
+def test_rank_matches_the_dominance_poset_reference(seed):
+    rng = SplitMix64(seed)
+    m = 1 + rng.below(60)
+    drawn = []
+    lines = []
+    for i in range(m):
+        if drawn and rng.chance(0.25):
+            lo, hi = drawn[rng.below(len(drawn))]
+        else:
+            lo = rng.below(13) - 4
+            hi = lo + rng.below(7)
+            drawn.append((lo, hi))
+        lines.append(f"i{i} {score_text(lo, rng.below(4))} {score_text(hi, rng.below(4))}")
+    if seed % 4 == 3:
+        # a denominator beyond the integer-key scale: ranks on exact
+        # rationals, which tell 1e-1300 from 0
+        lines += ["tiny 0 1e-1300", "zero 0 0"]
+    items = parse_scores("\n".join(lines) + "\n")
+    assert_ranks_like_the_reference(items, (1, max(1, m // 2), m + 3))
+
+
+@st.composite
+def score_files(draw):
+    quarters = st.integers(-4, 8)
+    rows = draw(st.lists(st.tuples(quarters, st.integers(0, 6)), min_size=1, max_size=30))
+    form = st.integers(0, 3)
+    return "".join(
+        f"i{i} {score_text(lo, draw(form))} {score_text(lo + width, draw(form))}\n"
+        for i, (lo, width) in enumerate(rows)
+    )
+
+
+@settings(max_examples=150)
+@given(score_files(), st.integers(1, 32), st.sampled_from(DIRECTIONS))
+def test_rank_matches_the_reference_on_drawn_scores(text, k, direction):
+    items = parse_scores(text)
+    assert emit_json(rank_items(items, k, direction)) == emit_json(
+        brute_rank(items, k, direction)
+    )
+
+
+def test_rank_builds_no_poset(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("rank_items must not build or linearise a poset")
+
+    for name, module in list(sys.modules.items()):
+        if name == "posetlin" or name.startswith("posetlin."):
+            for attr in ("build_poset", "compute_levels"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, forbidden)
+    rng = SplitMix64(2000)
+    lines = []
+    for i in range(2000):
+        lo = rng.below(10**6)
+        hi = lo + rng.below(10**6)
+        lines.append(f"i{i} 0.{lo:06d} {hi // 10**6}.{hi % 10**6:06d}")
+    items = parse_scores("\n".join(lines) + "\n")
+    primal, dual = (rank_items(items, len(items), d) for d in (PRIMAL, DUAL))
+    for ranking in (primal, dual):
+        assert sorted(x for g in ranking.groups for x in g.items) == sorted(
+            it.item for it in items
+        )
+    # both directions have one class per element of a longest chain
+    assert len(primal.groups) == len(dual.groups) > 1
 
 
 def test_emit_json_for_linearisations(abc_lattice):

@@ -337,7 +337,7 @@ def test_order_checks_match_the_pairwise_reference():
     }
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@settings(max_examples=150)
 @given(
     arity=st.integers(1, 3),
     seed=st.integers(0, 2**32),

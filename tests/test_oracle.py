@@ -4,6 +4,7 @@ import pytest
 
 from posetlin import (
     DUAL,
+    MAX_BRUTE_RANK,
     PRIMAL,
     CycleError,
     EmptyPosetError,
@@ -11,10 +12,12 @@ from posetlin import (
     brute_levels,
     brute_order,
     brute_preserves,
+    brute_rank,
     build_poset,
     compute_levels,
     count_linear_extensions,
     enumerate_maximal_chains,
+    parse_scores,
     random_poset,
 )
 from helpers import antichain, chain, corpus
@@ -108,6 +111,14 @@ def test_brute_order_on_the_worked_example(abc_lattice):
 def test_brute_order_cap():
     with pytest.raises(TooLargeError):
         brute_order([f"x{i}" for i in range(65)], [])
+
+
+def test_brute_rank_cap():
+    # duplicates do not count towards the cap, distinct intervals do
+    rows = "".join(f"i{i} 0 {i % MAX_BRUTE_RANK}\n" for i in range(2 * MAX_BRUTE_RANK))
+    assert len(brute_rank(parse_scores(rows), 1).groups) == 1
+    with pytest.raises(TooLargeError, match="distinct intervals"):
+        brute_rank(parse_scores(rows + f"x 0 {MAX_BRUTE_RANK}\n"), 1)
 
 
 def test_linear_extension_counts():

@@ -288,7 +288,7 @@ def generating_pairs(draw):
     return names, [(names[i], names[j]) for i, j in pairs]
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(generating_pairs())
 def test_build_matches_the_warshall_reference_on_drawn_pairs(drawn):
     elements, pairs = drawn
