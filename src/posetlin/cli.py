@@ -5,6 +5,7 @@ caps, ...), 2 on parse errors.
 """
 
 import argparse
+import functools
 import sys
 
 from .errors import OracleMismatchError, ParseError, PosetlinError
@@ -150,6 +151,7 @@ def _cmd_rank(args):
             print(f"group {index}: {' '.join(group.items)}")
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="posetlin",

@@ -30,11 +30,9 @@ Scores are compared exactly: the strings are parsed to rationals (any form
 ``rank_items`` sweeps in sorted order as integers at one common scale.
 """
 
-from __future__ import annotations
-
 import json
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
@@ -127,15 +125,10 @@ def parse_mapping(text, domain, codomain, max_entries=None):
     return MappingTable(domain, arity, codomain, entries, max_entries=max_entries)
 
 
-@dataclass(frozen=True)
-class ScoredItem:
-    """An external item carrying an interval score [lo, hi]."""
+class ScoredItem(namedtuple("ScoredItem", "item lo hi lo_text hi_text")):
+    """An item with an exact interval score: ``Fraction`` ends and their source text."""
 
-    item: str
-    lo: Fraction
-    hi: Fraction
-    lo_text: str
-    hi_text: str
+    __slots__ = ()
 
 
 def parse_scores(text):
@@ -187,19 +180,14 @@ def parse_ranks(text, p):
     return ranks
 
 
-@dataclass(frozen=True)
-class RankGroup:
+class RankGroup(namedtuple("RankGroup", "items intervals")):
     """One tie group of the ranking: items plus their interval values."""
 
-    items: tuple
-    intervals: tuple
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Ranking:
-    direction: str
-    k: int
-    groups: tuple
+class Ranking(namedtuple("Ranking", "direction k groups")):
+    __slots__ = ()
 
 
 def rank_items(items, k, direction=PRIMAL):

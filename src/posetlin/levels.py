@@ -8,12 +8,9 @@ elements (level 0 is the bottom layer).  Both directions produce exactly
 ``longest_chain_length`` levels.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import EmptyPosetError
-from .poset import Poset
 
 PRIMAL = "primal"
 DUAL = "dual"
@@ -25,8 +22,7 @@ def _check_direction(direction):
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
 
 
-@dataclass(frozen=True)
-class Linearisation:
+class Linearisation(namedtuple("Linearisation", "source direction levels class_of")):
     """An ordered partition of a poset into levels.
 
     ``levels[i]`` is the set stripped at round ``i``, so for the primal
@@ -37,10 +33,7 @@ class Linearisation:
     :meth:`rank` to translate a level index into that ascending order.
     """
 
-    source: Poset
-    direction: str
-    levels: tuple
-    class_of: dict
+    __slots__ = ()
 
     @property
     def num_classes(self):

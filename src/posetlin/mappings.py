@@ -7,9 +7,7 @@ class-valued output: mode "over" keeps the greatest projected value of the
 table across the class product, mode "under" the least.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
 
 from .errors import (
@@ -23,7 +21,6 @@ from .errors import (
     TooLargeError,
     UnknownElementError,
 )
-from .levels import Linearisation
 
 MODE_OVER = "over"
 MODE_UNDER = "under"
@@ -47,6 +44,23 @@ def _preserves(table, covers_above, ok):
     return True
 
 
+def _rank_lookup(lin):
+    """``lin.rank`` as a list lookup: one method call per class, not per entry."""
+    return list(map(lin.rank, range(lin.num_classes))).__getitem__
+
+
+def _exceeds(base, exponent, bound):
+    """True iff ``base ** exponent > bound``, without forming a power beyond ``bound``."""
+    if base < 2:
+        return base > bound
+    power = 1
+    for _ in range(exponent):
+        power *= base
+        if power > bound:
+            return True
+    return False
+
+
 class MappingTable:
     """Total n-ary mapping between two finite posets, stored extensionally.
 
@@ -59,10 +73,11 @@ class MappingTable:
     def __init__(self, domain, arity, codomain, table, max_entries=None):
         if arity < 1:
             raise ValueError(f"arity must be at least 1, got {arity}")
-        expected = len(domain) ** arity
-        if max_entries is not None and expected > max_entries:
+        n = len(domain)
+        if max_entries is not None and _exceeds(n, arity, max_entries):
             raise TooLargeError(
-                f"mapping table would need {expected} entries, cap is {max_entries}"
+                f"mapping table of arity {arity} over {n} domain elements "
+                f"exceeds the cap of {max_entries} entries"
             )
         entries = {}
         for key, value in table.items():
@@ -77,7 +92,7 @@ class MappingTable:
             if value not in codomain:
                 raise UnknownElementError(f"unknown codomain element {value!r}")
             entries[key] = value
-        if len(entries) < expected:
+        if _exceeds(n, arity, len(entries)):
             for key in product(domain.elements, repeat=arity):
                 if key not in entries:
                     raise MissingTupleError(
@@ -115,8 +130,7 @@ class MappingTable:
         )
 
 
-@dataclass(frozen=True)
-class ClassMapping:
+class ClassMapping(namedtuple("ClassMapping", "domain_lin codomain_lin arity mode table")):
     """A mapping between level indices of two linearisations.
 
     Keys of ``table`` are all tuples of domain level indices (the computation
@@ -124,18 +138,14 @@ class ClassMapping:
     Monotonicity is judged in the ascending linear order of each side.
     """
 
-    domain_lin: Linearisation
-    codomain_lin: Linearisation
-    arity: int
-    mode: str
-    table: dict
+    __slots__ = ()
 
     def __call__(self, *level_indices):
         return self.table[level_indices]
 
     def ranked_table(self):
         """The table in ascending rank coordinates (0 = least class), sorted by key."""
-        rank_d, rank_c = self.domain_lin.rank, self.codomain_lin.rank
+        rank_d, rank_c = _rank_lookup(self.domain_lin), _rank_lookup(self.codomain_lin)
         ranked = ((tuple(map(rank_d, key)), rank_c(v)) for key, v in self.table.items())
         return dict(sorted(ranked))
 
@@ -167,13 +177,14 @@ def extend(table, domain_lin, codomain_lin, mode):
         raise PosetMismatchError("codomain linearisation built from a different poset")
     pick = max if mode == MODE_OVER else min
     members = [sorted(level, key=table.domain.position) for level in domain_lin.levels]
+    rank_c = _rank_lookup(codomain_lin)
     out = {}
     for idx_tuple in product(range(len(members)), repeat=table.arity):
         projected = [
             codomain_lin.class_of[table.table[xs]]
             for xs in product(*(members[i] for i in idx_tuple))
         ]
-        out[idx_tuple] = pick(projected, key=codomain_lin.rank)
+        out[idx_tuple] = pick(projected, key=rank_c)
     return ClassMapping(domain_lin, codomain_lin, table.arity, mode, out)
 
 
@@ -197,8 +208,9 @@ def extend_all(tables, domain_lin, codomain_lin, mode):
     return [extend(t, domain_lin, codomain_lin, mode) for t in tables]
 
 
-@dataclass(frozen=True)
-class ImpossibilityWitness:
+class ImpossibilityWitness(
+    namedtuple("ImpossibilityWitness", "pair case witness_map ranks violation")
+):
     """Evidence that a rank function cannot support homomorphic extension.
 
     ``pair`` is an incomparable pair (a, b) ordered so rank(a) <= rank(b).
@@ -208,11 +220,7 @@ class ImpossibilityWitness:
     extension reverses the strict rank order.
     """
 
-    pair: tuple
-    case: str
-    witness_map: MappingTable
-    ranks: dict
-    violation: str
+    __slots__ = ()
 
     def recheck(self):
         """Re-verify the recorded violation from scratch."""

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour, including exit codes and JSON output."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -295,6 +296,86 @@ def test_oversized_mapping_is_rejected(files, capsys, tmp_path):
     code, _, err = run(capsys, "extend", poset, poset, mapping, "--mode", "over")
     assert code == 1
     assert "cap" in err
+    three = files("three.poset", "elem x\nelem y\nelem z\n")
+    hostile = files("hostile.map", "arity 20000\n")
+    code, out, err = run(capsys, "extend", three, three, hostile, "--mode", "over")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: mapping table of arity 20000 over 3 domain elements "
+        "exceeds the cap of 1000000 entries\n"
+    )
+
+
+def _fresh_process(argv, env):
+    done = subprocess.run(
+        [sys.executable, "-m", "posetlin", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_reused_parser_leaks_no_state_between_calls(files, capsys, monkeypatch):
+    # usage text wraps at the terminal width: fix it for both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    abc = files("abc.poset", ABC_FILE)
+    scores = files("scores.txt", SCORES_FILE)
+    mapping = files("f.map", F_MAPPING)
+    bad = files("bad.poset", "elem x\nnot a poset line\n")
+    sequence = [
+        ["levels", abc, "--json", "--dual"],
+        ["levels", abc],
+        ["rank", scores, "-k", "1", "--dual"],
+        ["rank", scores, "-k", "1"],
+        ["levels", bad],
+        ["rank", scores],  # argv error: -k is required
+        ["extend", abc, abc, mapping, "--mode", "over", "--domain-dual"],
+        ["extend", abc, abc, mapping, "--mode", "under"],
+        ["levels", abc, "--json", "--dual"],
+    ]
+    src = str(Path(posetlin.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in sequence:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == _fresh_process(argv, env), argv
+
+
+def test_parser_is_built_once_per_process(files, capsys, monkeypatch):
+    abc = files("abc.poset", ABC_FILE)
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    built = []
+    for argv in (["levels", abc], ["equiv", abc], ["levels", abc, "--dual"]):
+        assert run(capsys, *argv)[0] == 0
+        built.append(len(progs))
+    assert progs.count("posetlin") == 1  # one root parser, plus its subcommands
+    assert built == [built[0]] * 3
+
+
+def test_cli_import_pulls_in_no_introspection_modules():
+    # dataclasses imports inspect, ast, dis and tokenize: about 1 MB of
+    # resident memory that no posetlin code path needs.  -S keeps site hooks
+    # out, so only the standard library and posetlin are imported.
+    src = str(Path(posetlin.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import posetlin.cli; "
+        "print([m for m in ('dataclasses', 'inspect', 'ast') if m in sys.modules])"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_bad_k_exits_with_1(files, capsys):
