@@ -22,8 +22,6 @@ from .levels import DUAL, PRIMAL, compute_levels, linearisations_equivalent, sat
 from .mappings import extend, impossibility_witness
 from .oracle import brute_levels, enumerate_maximal_chains
 
-MAX_TABLE_ENTRIES = 10**6
-
 
 def _read(path):
     with open(path, encoding="utf-8") as handle:
@@ -101,9 +99,7 @@ def _cmd_equiv(args):
 def _cmd_extend(args):
     domain = _load_poset(args.domain_poset)
     codomain = _load_poset(args.codomain_poset)
-    table = parse_mapping(
-        _read(args.mapping), domain, codomain, max_entries=MAX_TABLE_ENTRIES
-    )
+    table = parse_mapping(_read(args.mapping), domain, codomain)
     domain_lin = compute_levels(domain, DUAL if args.domain_dual else PRIMAL)
     codomain_lin = compute_levels(codomain, DUAL if args.codomain_dual else PRIMAL)
     cm = extend(table, domain_lin, codomain_lin, args.mode)

@@ -93,7 +93,7 @@ def render_poset(p):
     return "\n".join(lines) + "\n"
 
 
-def parse_mapping(text, domain, codomain, max_entries=None):
+def parse_mapping(text, domain, codomain):
     """Parse a mapping file into a total mapping table between two posets."""
     lines = list(_logical_lines(text))
     if not lines:
@@ -122,7 +122,7 @@ def parse_mapping(text, domain, codomain, max_entries=None):
                 f"conflicting rows for tuple ({', '.join(key)})", lineno
             )
         entries[key] = value
-    return MappingTable(domain, arity, codomain, entries, max_entries=max_entries)
+    return MappingTable(domain, arity, codomain, entries)
 
 
 class ScoredItem(namedtuple("ScoredItem", "item lo hi lo_text hi_text")):

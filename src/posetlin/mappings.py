@@ -25,20 +25,22 @@ from .errors import (
 MODE_OVER = "over"
 MODE_UNDER = "under"
 MODES = (MODE_OVER, MODE_UNDER)
+MAX_TABLE_ENTRIES = 10**6
 
 
-def _preserves(table, covers_above, ok):
+def _preserves(table, covers, ok):
     """True iff ``ok(table[xs], table[ys])`` holds for every ``xs <= ys``.
 
-    ``table`` must be total over the product of its argument order.  Only
-    cover steps are checked, where ``ys`` raises one coordinate of ``xs`` to
-    one of its ``covers_above``: every ``xs <= ys`` is a chain of such steps
-    and ``ok`` is transitive, so this decides the whole product order in
+    ``table`` must be total over the product of its argument order, and
+    ``covers[x]`` lists the upper covers of ``x`` in that order.  Only cover
+    steps are checked, where ``ys`` raises one coordinate of ``xs`` to one of
+    its covers: every ``xs <= ys`` is a chain of such steps and ``ok`` is
+    transitive, so this decides the whole product order in
     O(entries * arity * covers) instead of O(entries ** 2).
     """
     for xs, value in table.items():
         for i, x in enumerate(xs):
-            for y in covers_above(x):
+            for y in covers[x]:
                 if not ok(value, table[xs[:i] + (y,) + xs[i + 1 :]]):
                     return False
     return True
@@ -65,19 +67,20 @@ class MappingTable:
     """Total n-ary mapping between two finite posets, stored extensionally.
 
     ``table`` must define an output for every tuple in ``domain ** arity``;
-    construction raises ``MissingTupleError`` otherwise.
+    construction raises ``MissingTupleError`` otherwise, and ``TooLargeError``
+    when that product has more than ``MAX_TABLE_ENTRIES`` tuples.
     """
 
     __slots__ = ("domain", "arity", "codomain", "table")
 
-    def __init__(self, domain, arity, codomain, table, max_entries=None):
+    def __init__(self, domain, arity, codomain, table):
         if arity < 1:
             raise ValueError(f"arity must be at least 1, got {arity}")
         n = len(domain)
-        if max_entries is not None and _exceeds(n, arity, max_entries):
+        if _exceeds(n, arity, MAX_TABLE_ENTRIES):
             raise TooLargeError(
                 f"mapping table of arity {arity} over {n} domain elements "
-                f"exceeds the cap of {max_entries} entries"
+                f"exceeds the cap of {MAX_TABLE_ENTRIES} entries"
             )
         entries = {}
         for key, value in table.items():
@@ -119,15 +122,17 @@ class MappingTable:
     def __repr__(self):
         return f"MappingTable(arity={self.arity}, {len(self.table)} entries)"
 
+    def _covers(self):
+        # read once per check: covers_above builds a new frozenset per call
+        return {x: self.domain.covers_above(x) for x in self.domain}
+
     def is_monotone(self):
         """True iff pointwise greater arguments never map to a smaller value."""
-        return _preserves(self.table, self.domain.covers_above, self.codomain.leq)
+        return _preserves(self.table, self._covers(), self.codomain.leq)
 
     def is_antitone(self):
         """True iff pointwise greater arguments never map to a greater value."""
-        return _preserves(
-            self.table, self.domain.covers_above, lambda u, v: self.codomain.leq(v, u)
-        )
+        return _preserves(self.table, self._covers(), lambda u, v: self.codomain.leq(v, u))
 
 
 class ClassMapping(namedtuple("ClassMapping", "domain_lin codomain_lin arity mode table")):
@@ -149,15 +154,15 @@ class ClassMapping(namedtuple("ClassMapping", "domain_lin codomain_lin arity mod
         ranked = ((tuple(map(rank_d, key)), rank_c(v)) for key, v in self.table.items())
         return dict(sorted(ranked))
 
-    def _rank_covers(self, r):
-        # the domain side is a linear order of ranks, so r + 1 covers r
-        return (r + 1,) if r + 1 < self.domain_lin.num_classes else ()
+    def _covers(self):
+        # the domain side is the chain of ranks, so r + 1 covers r
+        return [(r,) for r in range(1, self.domain_lin.num_classes)] + [()]
 
     def is_monotone(self):
-        return _preserves(self.ranked_table(), self._rank_covers, lambda a, b: a <= b)
+        return _preserves(self.ranked_table(), self._covers(), lambda a, b: a <= b)
 
     def is_antitone(self):
-        return _preserves(self.ranked_table(), self._rank_covers, lambda a, b: a >= b)
+        return _preserves(self.ranked_table(), self._covers(), lambda a, b: a >= b)
 
 
 def extend(table, domain_lin, codomain_lin, mode):
@@ -176,13 +181,13 @@ def extend(table, domain_lin, codomain_lin, mode):
     if codomain_lin.source != table.codomain:
         raise PosetMismatchError("codomain linearisation built from a different poset")
     pick = max if mode == MODE_OVER else min
-    members = [sorted(level, key=table.domain.position) for level in domain_lin.levels]
+    levels = domain_lin.levels
     rank_c = _rank_lookup(codomain_lin)
     out = {}
-    for idx_tuple in product(range(len(members)), repeat=table.arity):
+    for idx_tuple in product(range(len(levels)), repeat=table.arity):
         projected = [
             codomain_lin.class_of[table.table[xs]]
-            for xs in product(*(members[i] for i in idx_tuple))
+            for xs in product(*(levels[i] for i in idx_tuple))
         ]
         out[idx_tuple] = pick(projected, key=rank_c)
     return ClassMapping(domain_lin, codomain_lin, table.arity, mode, out)

@@ -191,6 +191,19 @@ def brute_rank(items, k, direction=PRIMAL):
     return Ranking(direction, k, tuple(groups))
 
 
+def _walk_chains(covers, chain, chains):
+    """Append to ``chains`` every maximal chain that extends ``chain`` upwards
+    along ``covers``, the sorted upper covers of each element."""
+    uppers = covers[chain[-1]]
+    if not uppers:
+        chains.append(tuple(chain))
+        return
+    for y in uppers:
+        chain.append(y)
+        _walk_chains(covers, chain, chains)
+        chain.pop()
+
+
 def enumerate_maximal_chains(p):
     """All maximal chains of ``p`` as element tuples.
 
@@ -201,21 +214,24 @@ def enumerate_maximal_chains(p):
         raise TooLargeError(
             f"chain enumeration is capped at {MAX_CHAIN_ENUMERATION} elements"
         )
+    covers = {x: sorted(p.covers_above(x), key=p.position) for x in p.elements}
     chains = []
-
-    def walk(chain, x):
-        uppers = sorted(p.covers_above(x), key=p.position)
-        if not uppers:
-            chains.append(tuple(chain))
-            return
-        for y in uppers:
-            chain.append(y)
-            walk(chain, y)
-            chain.pop()
-
     for start in p.minimal_elements():
-        walk([start], start)
+        _walk_chains(covers, [start], chains)
     return chains
+
+
+def _count_extensions(below, remaining):
+    """Number of ways to list ``remaining`` so each element follows its ``below``."""
+    if not remaining:
+        return 1
+    total = 0
+    for x in list(remaining):
+        if not (below[x] & remaining):
+            remaining.remove(x)
+            total += _count_extensions(below, remaining)
+            remaining.add(x)
+    return total
 
 
 def count_linear_extensions(p):
@@ -228,20 +244,8 @@ def count_linear_extensions(p):
         raise TooLargeError(
             f"linear extension counting is capped at {MAX_EXTENSION_COUNT} elements"
         )
-    remaining = set(p.elements)
-
-    def count():
-        if not remaining:
-            return 1
-        total = 0
-        for x in list(remaining):
-            if not (p.below(x) & remaining):
-                remaining.remove(x)
-                total += count()
-                remaining.add(x)
-        return total
-
-    return count()
+    below = {x: p.below(x) for x in p.elements}
+    return _count_extensions(below, set(p.elements))
 
 
 def random_poset(seed, size, edge_probability):

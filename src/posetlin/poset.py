@@ -5,7 +5,7 @@ of ``int`` bitsets: bit ``j`` of ``up[i]`` is set iff element ``i`` is
 strictly below element ``j``, ``down`` is the mirror image, and
 ``cover_up``/``cover_down`` hold the cover relation (transitive reduction).
 Order queries are bit tests; sets of names are built only at the API edge,
-once per element.  Every derived listing follows declaration order.
+on each call.  Every derived listing follows declaration order.
 """
 
 from .errors import (
@@ -63,20 +63,6 @@ def _on_cycle(i, succ):
     return False
 
 
-class _NameSets(dict):
-    """Frozensets of names per element, built from ``bits`` on first access."""
-
-    def __init__(self, names, pos, bits):
-        self.names, self.pos, self.bits = names, pos, bits
-
-    def __missing__(self, x):
-        if x not in self.pos:
-            raise UnknownElementError(f"unknown element {x!r}")
-        bits = self.bits[self.pos[x]]
-        self[x] = names = frozenset(map(self.names.__getitem__, _indices(bits)))
-        return names
-
-
 def build_poset(elements, pairs):
     """Construct a poset from declared elements and generating pairs.
 
@@ -120,17 +106,12 @@ def build_poset(elements, pairs):
 class Poset:
     """Immutable finite poset.  Use :func:`build_poset` to construct one."""
 
-    __slots__ = ("elements", "_pos", "_order", "_up", "_down", "_cover_up",
-                 "_cover_down", "_above", "_below", "_covers_above", "_covers_below")
+    __slots__ = ("elements", "_pos", "_order", "_up", "_down", "_cover_up", "_cover_down")
 
     def __init__(self, names, pos, order, up, down, cover_up, cover_down):
-        self.elements = names = tuple(names)
+        self.elements = tuple(names)
         self._pos, self._order = pos, order
         self._up, self._down, self._cover_up, self._cover_down = up, down, cover_up, cover_down
-        self._above = _NameSets(names, pos, up)
-        self._below = _NameSets(names, pos, down)
-        self._covers_above = _NameSets(names, pos, cover_up)
-        self._covers_below = _NameSets(names, pos, cover_down)
 
     def __len__(self):
         return len(self.elements)
@@ -190,19 +171,23 @@ class Poset:
         """All pairs (x, y) with y covering x, as a frozenset."""
         return self._pairs(self._cover_up)
 
+    def _names(self, rows, x):
+        """The names of the set bits of ``x``'s row in ``rows``, as a frozenset."""
+        return frozenset(map(self.elements.__getitem__, _indices(rows[self.position(x)])))
+
     def above(self, x):
         """Elements strictly greater than ``x``."""
-        return self._above[x]
+        return self._names(self._up, x)
 
     def below(self, x):
         """Elements strictly smaller than ``x``."""
-        return self._below[x]
+        return self._names(self._down, x)
 
     def covers_above(self, x):
-        return self._covers_above[x]
+        return self._names(self._cover_up, x)
 
     def covers_below(self, x):
-        return self._covers_below[x]
+        return self._names(self._cover_down, x)
 
     def lt(self, x, y):
         try:
@@ -267,14 +252,16 @@ class Poset:
         return self.elements[found[0]] if found else None
 
     def is_lattice(self):
-        """True iff every pair of elements has a least upper and greatest lower bound."""
-        for sets in (self._up, self._down):
-            reflexive = [s | 1 << i for i, s in enumerate(sets)]
-            owned = set(reflexive)
-            for i, a in enumerate(reflexive):
-                if not {a & b for b in reflexive[i + 1 :]} <= owned:
-                    return False
-        return True
+        """True iff every pair of elements has a least upper and greatest lower bound.
+
+        A finite poset with a greatest element in which every pair has a meet
+        is a lattice (Davey & Priestley), so joins are not searched.
+        """
+        if sum(not up for up in self._up) > 1:  # two maximal elements have no join
+            return False
+        reflexive = [s | 1 << i for i, s in enumerate(self._down)]
+        owned = set(reflexive)
+        return all({a & b for b in reflexive[i + 1 :]} <= owned for i, a in enumerate(reflexive))
 
     def sup(self, x, y):
         """Least upper bound of ``{x, y}``; raises ``NotALatticeError`` if absent."""

@@ -85,15 +85,19 @@ def test_table_rejects_nonpositive_arity(abc_lattice):
 
 def test_table_entry_cap(abc_lattice):
     with pytest.raises(TooLargeError):
-        MappingTable(abc_lattice, 3, abc_lattice, {}, max_entries=100)
+        MappingTable(abc_lattice, 9, abc_lattice, {})
     # 3 ** 20000 has 9,543 digits: formatting it once broke the interpreter's
     # 4300-digit limit instead of reporting the cap
     p = build_poset(["x", "y", "z"], [])
     with pytest.raises(TooLargeError) as caught:
-        MappingTable(p, 20000, p, {}, max_entries=10**6)
+        MappingTable(p, 20000, p, {})
     assert str(caught.value) == (
         "mapping table of arity 20000 over 3 domain elements exceeds the cap of 1000000 entries"
     )
+    # without the cap, listing the first missing tuple of 3 ** 10**6 built a
+    # three-million-character message
+    with pytest.raises(TooLargeError, match="exceeds the cap of 1000000 entries"):
+        MappingTable(p, 10**6, p, {})
 
 
 def test_monotonicity_of_the_worked_examples(abc_lattice):

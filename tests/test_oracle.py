@@ -1,5 +1,7 @@
 """Brute-force references and the seeded poset generator."""
 
+import gc
+
 import pytest
 
 from posetlin import (
@@ -136,6 +138,20 @@ def test_linear_extension_count_of_the_worked_example(abc_lattice, diamond):
 def test_linear_extension_count_cap():
     with pytest.raises(TooLargeError):
         count_linear_extensions(antichain(9))
+
+
+@pytest.mark.parametrize("reference", [enumerate_maximal_chains, count_linear_extensions])
+def test_recursive_references_leave_no_reference_cycles(reference):
+    # a nested recursive function refers to itself through its closure, so
+    # each call left garbage that only the cyclic collector could free
+    p = random_poset(3, 8, 0.3)
+    gc.collect()
+    gc.disable()
+    try:
+        reference(p)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_flattened_classes_form_a_linear_extension():

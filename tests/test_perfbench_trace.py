@@ -1,0 +1,41 @@
+"""The benchmark's traced mode still wraps and counts what the library offers.
+
+``perfbench/tracing.py`` names posetlin functions by string and its counters
+call order queries on the posets it sees, so a rename in the library would
+break ``--trace 1`` without failing any other test.
+"""
+
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_traced_requests_are_answered_and_counted(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.chdir(tmp_path)
+    from reference import Order, check_json
+    from serve import Server
+    from tracing import Tracer
+    from workloads import Builder, extend_request, poset_text, tiny_lattice
+
+    b = Builder("extend", 1)
+    b.deck.append(extend_request(b, 8, 2, 4))
+    declared, pairs = tiny_lattice()
+    path = b.file("lattice", poset_text(declared, pairs))
+    b.cli(["check", path, "--json"], check_json(Order(declared, pairs)))
+    for name, text in b.files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+
+    server = Server(b.deck)
+    tracer = Tracer()
+    try:
+        tracer.install()
+        for index in range(len(b.deck)):
+            server.one(index)
+    finally:
+        tracer.uninstall()
+    assert (server.attempted, server.failed) == (2, 0), server.failures
+    metrics, _ = tracer.metrics()
+    assert metrics["mappings.table_entries"] > 0
+    assert metrics["poset.cover_pairs"] > 0
+    assert metrics["mappings.table_check.self_ms"] > 0

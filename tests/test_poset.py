@@ -97,6 +97,10 @@ def test_order_queries_reject_unknown_elements(abc_lattice):
         abc_lattice.leq("bot", "zz")
     with pytest.raises(UnknownElementError):
         abc_lattice.incomparable("zz", "bot")
+    p = abc_lattice
+    for query in (p.above, p.below, p.covers_above, p.covers_below):
+        with pytest.raises(UnknownElementError, match="^unknown element 'zz'$"):
+            query("zz")
 
 
 def test_is_linear():
@@ -263,14 +267,24 @@ def generating_set(seed):
     return _shuffle(rng, names), _shuffle(rng, pairs)
 
 
+def assert_order_is(p, strict, covers):
+    """``p``'s pairs and per-element name sets are those of ``strict`` and ``covers``."""
+    assert p.strict_pairs == strict
+    assert p.cover_pairs == covers
+    for x in p.elements:
+        assert p.above(x) == {y for w, y in strict if w == x}
+        assert p.below(x) == {w for w, y in strict if y == x}
+        assert p.covers_above(x) == {y for w, y in covers if w == x}
+        assert p.covers_below(x) == {w for w, y in covers if y == x}
+
+
 @pytest.mark.parametrize("seed", range(7000, 7090))
 def test_build_matches_the_warshall_reference(seed):
     elements, pairs = generating_set(seed)
     strict, covers = brute_order(elements, pairs)
     p = build_poset(elements, pairs)
     assert p.elements == tuple(elements)
-    assert p.strict_pairs == strict
-    assert p.cover_pairs == covers
+    assert_order_is(p, strict, covers)
 
 
 @st.composite
@@ -299,8 +313,7 @@ def test_build_matches_the_warshall_reference_on_drawn_pairs(drawn):
             build_poset(elements, pairs)
         assert str(excinfo.value) == str(exc)
         return
-    p = build_poset(elements, pairs)
-    assert (p.strict_pairs, p.cover_pairs) == expected
+    assert_order_is(build_poset(elements, pairs), *expected)
 
 
 def _without(p, x):
@@ -355,6 +368,26 @@ def test_sup_and_inf_match_bruteforce_on_named_shapes(p):
                 else:
                     with pytest.raises(NotALatticeError):
                         query(x, y)
+
+
+@st.composite
+def posets_with_a_top(draw):
+    """A drawn DAG on up to 8 elements below an added top, sometimes above an
+    added bottom as well: only the meet test can reject it."""
+    n = draw(st.integers(0, 8))
+    names = [f"n{i}" for i in range(n)]
+    index = st.integers(0, max(n - 1, 0))
+    drawn = draw(st.lists(st.tuples(index, index), max_size=20))
+    pairs = [(names[i], names[j]) for i, j in drawn if i < j]
+    if draw(st.booleans()):
+        names, pairs = ["bot"] + names, pairs + [("bot", x) for x in names]
+    return build_poset(names + ["top"], pairs + [(x, "top") for x in names])
+
+
+@settings(max_examples=200)
+@given(posets_with_a_top())
+def test_is_lattice_matches_bruteforce_on_drawn_posets_with_a_top(p):
+    assert p.is_lattice() == is_lattice_bruteforce(p)
 
 
 def test_named_shapes_include_lattices_and_non_lattices():
