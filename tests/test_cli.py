@@ -276,6 +276,14 @@ def test_rank_score_exponent_beyond_the_bound_exits_with_2(files, capsys):
     assert "line 2: exponent of '1e4301' exceeds 4300" in err
 
 
+def test_rank_plain_score_beyond_the_digit_limit_exits_with_2(files, capsys):
+    for field in ("1" * 4301, "0." + "1" * 4301):
+        scores = files("scores.txt", f"q 0.2 0.4\np 0 {field}\n")
+        code, out, err = run(capsys, "rank", scores, "-k", "1")
+        assert (code, out) == (2, "")
+        assert "line 2: scores must be decimals" in err
+
+
 def test_domain_errors_exit_with_1(files, capsys):
     cyclic = files("cyclic.poset", "x < y\ny < x\n")
     code, _, err = run(capsys, "levels", cyclic)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from posetlin import formats
 from posetlin import (
     DIRECTIONS,
     DUAL,
@@ -86,6 +87,9 @@ def test_parse_rejects_malformed_lines():
         parse_poset("elem\n")
     with pytest.raises(ParseError):
         parse_poset("a < b<c\n")
+    for line in ("elem a<b", "a<b < c"):
+        with pytest.raises(ParseError, match="invalid element name 'a<b'"):
+            parse_poset(line + "\n")
 
 
 def test_render_round_trip():
@@ -196,6 +200,73 @@ def test_parse_scores_errors():
         parse_scores("p 0.5\n")
 
 
+def parsed_or_rejected(s):
+    try:
+        (item,) = parse_scores(f"p {s} {s}\n")
+    except ParseError:
+        return ParseError
+    assert item.lo == item.hi
+    return item.lo
+
+
+def fraction_or_rejected(s):
+    try:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        return ParseError
+
+
+# at most five characters with an exponent, so it never exceeds the bound
+@settings(max_examples=300)
+@given(st.text("0123456789.-+_eE/\u0663\uff10", min_size=1, max_size=5)
+       | st.text("0123456789.-+_/\u0663\uff10", min_size=1, max_size=12))
+def test_parse_scores_reads_each_field_as_fraction_does(s):
+    assert parsed_or_rejected(s) == fraction_or_rejected(s)
+
+
+@pytest.mark.parametrize(
+    "s, value",
+    [("-.5", Fraction(-1, 2)), ("5.", 5), ("-0", 0), (".", ParseError),
+     ("-", ParseError), ("--5", ParseError), ("1.2.3", ParseError),
+     ("+0.5", Fraction(1, 2)), ("1_0", 10), ("1/2", Fraction(1, 2)),
+     ("5e-1", Fraction(1, 2)), ("\u0663", 3), ("-\uff10.5", Fraction(-1, 2))],
+)
+def test_parse_scores_reads_pinned_fields_as_fraction_does(s, value):
+    assert parsed_or_rejected(s) == fraction_or_rejected(s) == value
+
+
+def test_parse_scores_rejects_plain_decimals_beyond_the_digit_limit():
+    # int() raises ValueError past the digit limit: a parse error, never an escape
+    for field in ("1" * 4301, "-" + "1" * 4301, "0." + "1" * 4301, "1." + "1" * 4301):
+        with pytest.raises(ParseError, match="line 1: scores must be decimals"):
+            parse_scores(f"p 0 {field}\n")
+    # each part within the limit: read as Fraction reads it
+    field = "1" * 3000 + "." + "1" * 3000
+    (item,) = parse_scores(f"p {field} {field}\n")
+    assert item.lo == Fraction(field)
+
+
+def test_plain_decimals_skip_the_fraction_string_parser(monkeypatch):
+    rng = SplitMix64(12)
+    lines = ["a -.5 5.", "b -0 0"]
+    for i in range(200):  # forms 0 and 1 are plain decimals
+        lo = rng.below(13) - 4
+        hi = lo + rng.below(5)
+        lines.append(f"i{i} {score_text(lo, rng.below(2))} {score_text(hi, rng.below(2))}")
+    text = "\n".join(lines) + "\n"
+    expected = parse_scores(text)
+
+    def no_strings(*args):
+        if any(isinstance(arg, str) for arg in args):
+            raise AssertionError("a plain decimal went through Fraction(str)")
+        return Fraction(*args)
+
+    monkeypatch.setattr(formats, "Fraction", no_strings)
+    assert parse_scores(text) == expected
+    with pytest.raises(AssertionError):  # the guard is live
+        parse_scores("p 1/2 1\n")
+
+
 def test_parse_ranks(diamond):
     ranks = parse_ranks("bot 0\na 1\nb 1\ntop 2\n", diamond)
     assert ranks == {"bot": 0, "a": 1, "b": 1, "top": 2}
@@ -286,6 +357,9 @@ def test_parse_scores_bounds_the_decimal_exponent():
     for line in ("p 0 1e4301", "p 1e-4301 1", "p 0 1E+4_301"):
         with pytest.raises(ParseError, match="line 1: exponent of .* exceeds 4300"):
             parse_scores(line + "\n")
+    # both fields are bounded before either is read
+    with pytest.raises(ParseError, match="exponent of '1e9999' exceeds 4300"):
+        parse_scores("p x 1e9999\n")
     (item,) = parse_scores("p 1e-4300 1e4300\n")
     assert (item.lo, item.hi) == (Fraction(1, 10**4300), 10**4300)
 
@@ -373,6 +447,22 @@ def test_rank_matches_the_reference_on_drawn_scores(text, k, direction):
     assert emit_json(rank_items(items, k, direction)) == emit_json(
         brute_rank(items, k, direction)
     )
+
+
+@settings(max_examples=100)
+@given(score_files())
+def test_scores_round_trip_property(text):
+    items = parse_scores(text)
+    again = "".join(f"{it.item} {it.lo_text} {it.hi_text}\n" for it in items)
+    assert parse_scores(again) == items
+
+
+@settings(max_examples=100)
+@given(posets(), st.data())
+def test_ranks_round_trip_property(p, data):
+    ranks = {x: data.draw(st.integers(-(10**30), 10**30)) for x in p.elements}
+    text = "".join(f"{x} {r}\n" for x, r in ranks.items())
+    assert parse_ranks(text, p) == ranks
 
 
 def test_rank_builds_no_poset(monkeypatch):
