@@ -8,7 +8,8 @@ table across the class product, mode "under" the least.
 """
 
 from collections import namedtuple
-from itertools import product
+from itertools import islice, product
+from types import MappingProxyType
 
 from .errors import (
     ArityMismatchError,
@@ -21,6 +22,7 @@ from .errors import (
     TooLargeError,
     UnknownElementError,
 )
+from .poset import _indices
 
 MODE_OVER = "over"
 MODE_UNDER = "under"
@@ -28,27 +30,42 @@ MODES = (MODE_OVER, MODE_UNDER)
 MAX_TABLE_ENTRIES = 10**6
 
 
-def _preserves(table, covers, ok):
-    """True iff ``ok(table[xs], table[ys])`` holds for every ``xs <= ys``.
+def _preserves(values, n, arity, covers, ok):
+    """True iff ``u == v or ok[u] >> v & 1`` for the values of all slots ``xs <= ys``.
 
-    ``table`` must be total over the product of its argument order, and
-    ``covers[x]`` lists the upper covers of ``x`` in that order.  Only cover
-    steps are checked, where ``ys`` raises one coordinate of ``xs`` to one of
-    its covers: every ``xs <= ys`` is a chain of such steps and ``ok`` is
-    transitive, so this decides the whole product order in
-    O(entries * arity * covers) instead of O(entries ** 2).
+    ``values`` holds one value per tuple over ``range(n)``, in mixed radix
+    with the first argument most significant; ``covers`` lists ``(x, ys)``
+    with ``ys`` the upper covers of ``x``; ``ok[u]`` is the bitset of values
+    allowed above ``u`` besides ``u``, a strict order.  Only cover steps are
+    checked: every ``xs <= ys`` is a chain of them.  Per axis, the slots
+    with digit ``x`` and with digit ``y`` come as whole slices (one extended
+    slice per offset below the stride, or one plain slice per block,
+    whichever is fewer), and each distinct value pair is tested once.
     """
-    for xs, value in table.items():
-        for i, x in enumerate(xs):
-            for y in covers[x]:
-                if not ok(value, table[xs[:i] + (y,) + xs[i + 1 :]]):
-                    return False
+    total = len(values)
+    for axis in range(arity):
+        stride = n ** (arity - 1 - axis)
+        block = stride * n
+        if stride * block <= total:
+            runs = [(j, total, block) for j in range(stride)]
+        else:
+            runs = [(b, stride, 1) for b in range(0, total, block)]
+        pairs = set()
+        for start, span, step in runs:
+            for x, ys in covers:
+                lo = start + x * stride
+                below = values[lo : lo + span : step]
+                for y in ys:
+                    hi = start + y * stride
+                    pairs.update(zip(below, values[hi : hi + span : step]))
+        if not all(u == v or ok[u] >> v & 1 for u, v in pairs):
+            return False
     return True
 
 
-def _rank_lookup(lin):
-    """``lin.rank`` as a list lookup: one method call per class, not per entry."""
-    return list(map(lin.rank, range(lin.num_classes))).__getitem__
+def _ranks(lin):
+    """Rank of each level index, and level of each rank: ``rank`` is its own inverse."""
+    return list(map(lin.rank, range(lin.num_classes)))
 
 
 def _exceeds(base, exponent, bound):
@@ -68,10 +85,12 @@ class MappingTable:
 
     ``table`` must define an output for every tuple in ``domain ** arity``;
     construction raises ``MissingTupleError`` otherwise, and ``TooLargeError``
-    when that product has more than ``MAX_TABLE_ENTRIES`` tuples.
+    when that product has more than ``MAX_TABLE_ENTRIES`` tuples.  The
+    outputs are kept as one flat list of codomain positions, one slot per
+    tuple in the order of ``product(domain.elements, repeat=arity)``.
     """
 
-    __slots__ = ("domain", "arity", "codomain", "table")
+    __slots__ = ("domain", "arity", "codomain", "_values")
 
     def __init__(self, domain, arity, codomain, table):
         if arity < 1:
@@ -82,32 +101,45 @@ class MappingTable:
                 f"mapping table of arity {arity} over {n} domain elements "
                 f"exceeds the cap of {MAX_TABLE_ENTRIES} entries"
             )
-        entries = {}
+        pos, cpos = domain._pos, codomain._pos
+        values = [None] * n**arity
         for key, value in table.items():
             key = tuple(key)
             if len(key) != arity:
                 raise ArityMismatchError(
                     f"tuple {key!r} has {len(key)} components, expected {arity}"
                 )
+            slot = 0
             for x in key:
-                if x not in domain:
+                if x not in pos:
                     raise UnknownElementError(f"unknown domain element {x!r}")
-            if value not in codomain:
+                slot = slot * n + pos[x]
+            if value not in cpos:
                 raise UnknownElementError(f"unknown codomain element {value!r}")
-            entries[key] = value
-        if _exceeds(n, arity, len(entries)):
-            for key in product(domain.elements, repeat=arity):
-                if key not in entries:
-                    raise MissingTupleError(
-                        f"mapping undefined for tuple ({', '.join(key)})"
-                    )
+            values[slot] = cpos[value]
+        if None in values:
+            keys = product(domain.elements, repeat=arity)
+            key = next(islice(keys, values.index(None), None))
+            raise MissingTupleError(f"mapping undefined for tuple ({', '.join(key)})")
         self.domain = domain
         self.arity = arity
         self.codomain = codomain
-        self.table = entries
+        self._values = values
+
+    @property
+    def table(self):
+        """Read-only view of the table, argument tuples in declaration product order."""
+        keys = product(self.domain.elements, repeat=self.arity)
+        outputs = map(self.codomain.elements.__getitem__, self._values)
+        return MappingProxyType(dict(zip(keys, outputs)))
 
     def __call__(self, *xs):
-        return self.table[xs]
+        if len(xs) != self.arity:
+            raise KeyError(xs)
+        pos, slot = self.domain._pos, 0
+        for x in xs:
+            slot = slot * len(pos) + pos[x]  # KeyError for an unknown element
+        return self.codomain.elements[self._values[slot]]
 
     def __eq__(self, other):
         if not isinstance(other, MappingTable):
@@ -116,23 +148,23 @@ class MappingTable:
             self.domain == other.domain
             and self.arity == other.arity
             and self.codomain == other.codomain
-            and self.table == other.table
+            and self._values == other._values
         )
 
     def __repr__(self):
-        return f"MappingTable(arity={self.arity}, {len(self.table)} entries)"
+        return f"MappingTable(arity={self.arity}, {len(self._values)} entries)"
 
-    def _covers(self):
-        # read once per check: covers_above builds a new frozenset per call
-        return {x: self.domain.covers_above(x) for x in self.domain}
+    def _check(self, ok):
+        covers = [(x, list(_indices(c))) for x, c in enumerate(self.domain._cover_up) if c]
+        return _preserves(self._values, len(self.domain), self.arity, covers, ok)
 
     def is_monotone(self):
         """True iff pointwise greater arguments never map to a smaller value."""
-        return _preserves(self.table, self._covers(), self.codomain.leq)
+        return self._check(self.codomain._up)
 
     def is_antitone(self):
         """True iff pointwise greater arguments never map to a greater value."""
-        return _preserves(self.table, self._covers(), lambda u, v: self.codomain.leq(v, u))
+        return self._check(self.codomain._down)
 
 
 class ClassMapping(namedtuple("ClassMapping", "domain_lin codomain_lin arity mode table")):
@@ -148,21 +180,28 @@ class ClassMapping(namedtuple("ClassMapping", "domain_lin codomain_lin arity mod
     def __call__(self, *level_indices):
         return self.table[level_indices]
 
+    def _ranked(self):
+        """Codomain ranks in mixed radix over domain ranks, least tuple first."""
+        keys = product(_ranks(self.domain_lin), repeat=self.arity)
+        return list(map(_ranks(self.codomain_lin).__getitem__, map(self.table.__getitem__, keys)))
+
     def ranked_table(self):
         """The table in ascending rank coordinates (0 = least class), sorted by key."""
-        rank_d, rank_c = _rank_lookup(self.domain_lin), _rank_lookup(self.codomain_lin)
-        ranked = ((tuple(map(rank_d, key)), rank_c(v)) for key, v in self.table.items())
-        return dict(sorted(ranked))
+        keys = product(range(self.domain_lin.num_classes), repeat=self.arity)
+        return dict(zip(keys, self._ranked()))
 
-    def _covers(self):
+    def _check(self, ok):
         # the domain side is the chain of ranks, so r + 1 covers r
-        return [(r,) for r in range(1, self.domain_lin.num_classes)] + [()]
+        m = self.domain_lin.num_classes
+        covers = [(r, (r + 1,)) for r in range(m - 1)]
+        return _preserves(self._ranked(), m, self.arity, covers, ok)
 
     def is_monotone(self):
-        return _preserves(self.ranked_table(), self._covers(), lambda a, b: a <= b)
+        m = self.codomain_lin.num_classes
+        return self._check([(1 << m) - (2 << u) for u in range(m)])
 
     def is_antitone(self):
-        return _preserves(self.ranked_table(), self._covers(), lambda a, b: a >= b)
+        return self._check([(1 << u) - 1 for u in range(self.codomain_lin.num_classes)])
 
 
 def extend(table, domain_lin, codomain_lin, mode):
@@ -172,7 +211,9 @@ def extend(table, domain_lin, codomain_lin, mode):
     tuple of the class product; the outputs are projected to codomain classes
     and the greatest (mode "over") or least (mode "under") one in the
     codomain's linear order is kept.  The codomain order is linear, so the
-    choice is unambiguous.
+    choice is unambiguous.  One pass over the table does this: each slot's
+    tuple of domain classes, read in mixed radix, numbers the class slot
+    that keeps the best codomain rank seen.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -180,17 +221,20 @@ def extend(table, domain_lin, codomain_lin, mode):
         raise PosetMismatchError("domain linearisation built from a different poset")
     if codomain_lin.source != table.codomain:
         raise PosetMismatchError("codomain linearisation built from a different poset")
-    pick = max if mode == MODE_OVER else min
-    levels = domain_lin.levels
-    rank_c = _rank_lookup(codomain_lin)
-    out = {}
-    for idx_tuple in product(range(len(levels)), repeat=table.arity):
-        projected = [
-            codomain_lin.class_of[table.table[xs]]
-            for xs in product(*(levels[i] for i in idx_tuple))
-        ]
-        out[idx_tuple] = pick(projected, key=rank_c)
-    return ClassMapping(domain_lin, codomain_lin, table.arity, mode, out)
+    m, arity = domain_lin.num_classes, table.arity
+    classes = list(map(domain_lin.class_of.__getitem__, table.domain.elements))
+    class_slots = [0]
+    for _ in range(arity):
+        class_slots = [c * m + d for c in class_slots for d in classes]
+    # "under" keeps the greatest negated rank; every signed rank beats -len(rank_c)
+    rank_c, sign = _ranks(codomain_lin), 1 if mode == MODE_OVER else -1
+    signed = [sign * rank_c[codomain_lin.class_of[y]] for y in table.codomain.elements]
+    best = [-len(rank_c)] * m**arity
+    for c, r in zip(class_slots, map(signed.__getitem__, table._values)):
+        if r > best[c]:
+            best[c] = r
+    out = zip(product(range(m), repeat=arity), (rank_c[sign * r] for r in best))
+    return ClassMapping(domain_lin, codomain_lin, arity, mode, dict(out))
 
 
 def extend_all(tables, domain_lin, codomain_lin, mode):

@@ -3,8 +3,10 @@
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -404,3 +406,30 @@ def test_levels_of_an_empty_poset_exit_with_1(files, capsys):
     code, _, err = run(capsys, "levels", empty)
     assert code == 1
     assert "empty" in err
+
+
+@pytest.mark.parametrize(
+    "arity, dropped, first",
+    [
+        (2, ["top top", "b bot", "a c"], "a, c"),
+        (3, ["c bot a", "top top top", "bot b b", "bot a top"], "bot, a, top"),
+    ],
+)
+def test_extend_names_the_first_missing_row_in_declaration_order(
+    files, capsys, arity, dropped, first
+):
+    abc = files("abc.poset", ABC_FILE)
+    keys = [" ".join(key) for key in product(["bot", "a", "b", "c", "top"], repeat=arity)]
+    rows = [f"{key} -> bot\n" for key in keys if key not in dropped]
+    random.Random(arity).shuffle(rows)
+    mapping = files("gaps.map", f"arity {arity}\n" + "".join(rows))
+    code, out, err = run(capsys, "extend", abc, abc, mapping, "--mode", "over")
+    assert (code, out, err) == (1, "", f"error: mapping undefined for tuple ({first})\n")
+
+
+def test_extend_reports_a_conflict_before_an_earlier_unknown_element(files, capsys):
+    abc = files("abc.poset", ABC_FILE)
+    text = "arity 1\nzz -> bot\nbot -> bot\na -> top\nbot -> top\n"
+    mapping = files("clash.map", text)
+    code, out, err = run(capsys, "extend", abc, abc, mapping, "--mode", "over")
+    assert (code, out, err) == (2, "", "error: line 5: conflicting rows for tuple (bot)\n")

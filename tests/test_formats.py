@@ -4,7 +4,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from posetlin import formats
@@ -32,7 +32,7 @@ from posetlin import (
     rank_items,
     render_poset,
 )
-from helpers import abc_poset, corpus
+from helpers import abc_poset, corpus, random_table
 
 ABC_FILE = """\
 # a five element lattice
@@ -180,6 +180,17 @@ def test_parse_mapping_tolerates_identical_duplicate_rows(abc_lattice):
 def test_parse_mapping_entry_cap(abc_lattice):
     with pytest.raises(TooLargeError):
         parse_mapping("arity 9\n", abc_lattice, abc_lattice)
+
+
+@settings(max_examples=100)
+@given(posets(), posets(), st.integers(0, 2**32), st.randoms(use_true_random=False), st.data())
+def test_mapping_round_trip_property(dom, cod, seed, shuffler, data):
+    assume(len(cod) > 0)
+    arity = data.draw(st.integers(1, 3 if len(dom) <= 5 else 2))
+    table = random_table(dom, cod, seed=seed, arity=arity)
+    rows = [f"{' '.join(xs)} -> {y}\n" for xs, y in table.table.items()]
+    shuffler.shuffle(rows)
+    assert parse_mapping(f"arity {arity}\n" + "".join(rows), dom, cod) == table
 
 
 def test_parse_scores():

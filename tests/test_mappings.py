@@ -35,6 +35,7 @@ from helpers import (
     antichain,
     chain,
     corpus,
+    grid_poset,
     random_antitone_table,
     random_monotone_table,
     random_table,
@@ -373,3 +374,89 @@ def test_order_checks_match_the_pairwise_reference_on_drawn_tables(
     entries = dict(table.table)
     entries.update((keys[k], value) for k, value in overrides.items())
     _check_against_brute(MappingTable(dom, arity, cod, entries))
+
+
+# (arity, domain size): 64 to 512 entries, within brute_preserves' cap; at
+# arity 3 and 4 an inner axis has a stride above 1 and several blocks, and
+# at arity 4 one of them takes the one-plain-slice-per-block path
+DECK_SHAPES = ((2, 10), (2, 12), (3, 4), (3, 6), (3, 8), (4, 4))
+
+
+def test_strided_checks_match_the_pairwise_reference_at_deck_sizes():
+    outcomes = []
+    for i, (arity, size) in enumerate(DECK_SHAPES):
+        dom = random_poset(7100 + i, size, EDGE_PROBS[1 + i % 3])
+        cod = grid_poset(2, 2 + i % 3)  # a top and a bottom: never a constant fallback
+        monotone = random_monotone_table(dom, cod, seed=i, arity=arity)
+        antitone = random_antitone_table(dom, cod, seed=i, arity=arity)
+        assert 64 <= len(monotone.table) <= 512
+        assert len(set(monotone.table.values())) > 1 < len(set(antitone.table.values()))
+        for table in (monotone, antitone, _perturbed(monotone, i), _perturbed(antitone, i)):
+            outcomes.extend(_check_against_brute(table))
+    assert {(m, a) for m, a in outcomes} == {
+        (True, True), (True, False), (False, True), (False, False)
+    }
+
+
+def _table_with_gaps(p, arity, seed, gaps):
+    """A constant table over ``p`` without ``gaps`` rows, keys in shuffled order."""
+    rng = SplitMix64(seed)
+    keys = list(product(p.elements, repeat=arity))
+    missing = sorted(rng.below(len(keys)) for _ in range(gaps))
+    present = [key for k, key in enumerate(keys) if k not in missing]
+    for k in range(len(present) - 1, 0, -1):
+        j = rng.below(k + 1)
+        present[k], present[j] = present[j], present[k]
+    return {key: p.elements[0] for key in present}, keys[missing[0]]
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+def test_missing_rows_name_the_first_gap_in_declaration_order(abc_lattice, arity):
+    for seed in range(5):
+        entries, first = _table_with_gaps(abc_lattice, arity, seed, gaps=4)
+        with pytest.raises(MissingTupleError) as caught:
+            MappingTable(abc_lattice, arity, abc_lattice, entries)
+        assert str(caught.value) == f"mapping undefined for tuple ({', '.join(first)})"
+
+
+def test_calling_a_table_outside_its_domain_raises_key_error(abc_lattice):
+    f = f_table(abc_lattice)
+    pairs = MappingTable(
+        abc_lattice, 2, abc_lattice, {(x, y): y for x in abc_lattice for y in abc_lattice}
+    )
+    assert f("a") == "top" and pairs("a", "c") == "c"
+    unknown = [(f, ("zz",)), (pairs, ("a", "zz"))]
+    wrong_length = [(f, ()), (f, ("a", "b")), (pairs, ("a",)), (pairs, ("a", "b", "c"))]
+    for table, xs in unknown + wrong_length:
+        with pytest.raises(KeyError):
+            table(*xs)
+
+
+def test_table_view_is_read_only_and_in_declaration_order(abc_lattice):
+    entries = {(x, y): y for x in reversed(abc_lattice.elements) for y in abc_lattice}
+    table = MappingTable(abc_lattice, 2, abc_lattice, entries)
+    assert list(table.table) == list(product(abc_lattice.elements, repeat=2))
+    assert table.table == entries
+    with pytest.raises(TypeError):
+        table.table[("a", "a")] = "bot"
+    assert table("a", "a") == "a"
+    assert MappingTable(abc_lattice, 2, abc_lattice, dict(table.table)) == table
+    assert MappingTable(abc_lattice, 2, abc_lattice, table.table) == table
+    assert repr(table) == "MappingTable(arity=2, 25 entries)"
+
+
+@pytest.mark.parametrize("arity", [2, 3, 4])
+def test_checks_reach_every_block_and_offset_of_every_axis(arity):
+    # one cover step lo < hi among isolated elements: a single raised slot
+    # with lo on one axis and isolated elements elsewhere breaks monotonicity
+    # on that one step only, in the block and offset its other digits give
+    dom = build_poset(["i0", "lo", "i1", "hi", "i2"], [("lo", "hi")])
+    cod = chain(2)
+    isolated = ["i0", "i1", "i2"]
+    for axis in range(arity):
+        for others in product(isolated, repeat=arity - 1):
+            raised = others[:axis] + ("lo",) + others[axis:]
+            entries = {xs: "x0" for xs in product(dom.elements, repeat=arity)}
+            entries[raised] = "x1"
+            table = MappingTable(dom, arity, cod, entries)
+            assert (table.is_monotone(), table.is_antitone()) == (False, True), raised
