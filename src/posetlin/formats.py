@@ -62,30 +62,33 @@ def _check_token(name, lineno):
 
 def parse_poset(text):
     """Parse a poset file into a validated poset."""
-    declared = []
-    seen = set()
+    first = {}  # names in order of first appearance
+    again = []  # names of repeated ``elem`` lines, left for build_poset to reject
     pairs = []
-    for lineno, line in _logical_lines(text):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0] if "#" in raw else raw
         fields = line.split()
+        if not fields:
+            continue
         # the edge form goes first: an element may be named "elem"
         if len(fields) == 3 and fields[1] == "<":
-            lower, upper = fields[0], fields[2]
-            for name in (lower, upper):
-                _check_token(name, lineno)
-                if name not in seen:
-                    declared.append(name)
-                    seen.add(name)
+            lower, _, upper = fields
+            if "<" in lower or "<" in upper:
+                _check_token(lower, lineno)
+                _check_token(upper, lineno)
+            first[lower] = first[upper] = None
             pairs.append((lower, upper))
         elif fields[0] == "elem":
             if len(fields) != 2:
                 raise ParseError("expected 'elem NAME'", lineno)
             name = fields[1]
             _check_token(name, lineno)
-            declared.append(name)
-            seen.add(name)
+            if name in first:
+                again.append(name)
+            first[name] = None
         else:
-            raise ParseError(f"unrecognised line {line!r}", lineno)
-    return build_poset(declared, pairs)
+            raise ParseError(f"unrecognised line {line.strip()!r}", lineno)
+    return build_poset([*first, *again], pairs)
 
 
 def render_poset(p):
@@ -274,11 +277,8 @@ def emit_json(value):
             "mode": value.mode,
             "arity": value.arity,
             "domain": {"direction": dom.direction, "classes": dom.classes_ascending()},
-            "codomain": {
-                "direction": cod.direction,
-                "classes": cod.classes_ascending(),
-            },
-            "entries": [[list(key), v] for key, v in value.ranked_table().items()],
+            "codomain": {"direction": cod.direction, "classes": cod.classes_ascending()},
+            "entries": list(value.ranked_table().items()),
             "monotone": value.is_monotone(),
             "antitone": value.is_antitone(),
         }

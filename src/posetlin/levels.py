@@ -120,15 +120,15 @@ def linearisations_equivalent(p):
     """True iff the primal and dual linearisations of ``p`` coincide.
 
     They coincide exactly when the dual levels, read in reverse, equal the
-    primal levels: then the partitions match and the two linear orders agree
-    on every pair.  With ``k = p.longest_chain_length()``, an element's primal
-    and dual levels ``u(x)`` and ``d(x)`` always satisfy ``d(x) + u(x) <= k - 1``,
-    with equality iff ``x`` lies on a chain of ``k`` elements; so the
-    decompositions coincide iff every element lies on a longest chain.
-    Equal maximal chain lengths force this coincidence, but not conversely:
-    the two decompositions of a poset can coincide even though some maximal
-    chain is short (see ``satisfies_elcc``).
+    primal levels, that is when the primal and dual levels ``u(x)`` and
+    ``d(x)`` of every element sum to ``k - 1``, for ``k`` levels.  As
+    ``d(x) + u(x) <= k - 1`` always, with equality iff ``x`` lies on a chain of
+    ``k`` elements, the decompositions coincide iff every element lies on a
+    longest chain.  Equal maximal chain lengths force this coincidence, but
+    not conversely: some maximal chain may be short (see ``satisfies_elcc``).
     """
-    primal = compute_levels(p, PRIMAL)
-    dual = compute_levels(p, DUAL)
-    return tuple(reversed(primal.levels)) == dual.levels
+    if len(p) == 0:
+        raise EmptyPosetError("cannot linearise an empty poset")
+    (up, _), (down, _) = p._layers(True), p._layers(False)
+    k = 1 + max(down)
+    return all(u + d == k - 1 for u, d in zip(up, down))

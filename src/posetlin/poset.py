@@ -20,7 +20,7 @@ from .errors import (
 def _check_name(name):
     if not isinstance(name, str) or not name:
         raise ValueError(f"element name must be a non-empty string, got {name!r}")
-    if any(ch.isspace() for ch in name) or "<" in name or "#" in name:
+    if name.split() != [name] or "<" in name or "#" in name:  # split() breaks at isspace()
         raise ValueError(f"element name may not contain whitespace, '<' or '#': {name!r}")
 
 
@@ -81,11 +81,13 @@ def build_poset(elements, pairs):
         pos[name] = len(pos)
     succ, pred = [[] for _ in names], [[] for _ in names]
     for x, y in pairs:
-        for name in (x, y):
-            if name not in pos:
-                raise UnknownElementError(f"unknown element {name!r} in pair ({x!r}, {y!r})")
-        succ[pos[x]].append(pos[y])
-        pred[pos[y]].append(pos[x])
+        try:
+            i, j = pos[x], pos[y]
+        except KeyError:
+            name = y if x in pos else x
+            raise UnknownElementError(f"unknown element {name!r} in pair ({x!r}, {y!r})") from None
+        succ[i].append(j)
+        pred[j].append(i)
     # Kahn's sort: an element is emitted once all its predecessors are
     indegree = [len(p) for p in pred]
     order = [i for i, d in enumerate(indegree) if not d]
@@ -154,7 +156,14 @@ class Poset:
         order = reversed(self._order) if upward else self._order
         layer = [0] * len(covers)
         for i in order:
-            layer[i] = 1 + max((layer[j] for j in _indices(covers[i])), default=-1)
+            bits, top = covers[i], -1
+            while bits:  # top = the greatest layer among i's covers
+                low = bits & -bits
+                k = layer[low.bit_length() - 1]
+                if k > top:
+                    top = k
+                bits ^= low
+            layer[i] = top + 1
         return layer, covers
 
     def _pairs(self, rows):

@@ -3,7 +3,7 @@ constructive generators for monotone and antitone tables."""
 
 from itertools import product
 
-from posetlin import MappingTable, SplitMix64, build_poset, random_poset
+from posetlin import MappingTable, ParseError, SplitMix64, build_poset, random_poset
 
 EDGE_PROBS = (0.0, 0.1, 0.3, 0.7, 1.0)
 
@@ -161,3 +161,36 @@ def is_lattice_bruteforce(p):
             if len(least) != 1 or len(greatest) != 1:
                 return False
     return True
+
+
+def _check_token(name, lineno):
+    if "<" in name:
+        raise ParseError(f"invalid element name {name!r}", lineno)
+
+
+def parse_poset_lines(text):
+    """Reference reader for poset files, one logical line at a time: the
+    declared names (a repeated ``elem`` line repeats its name) and the edge
+    pairs that ``formats.parse_poset`` must hand to ``build_poset``."""
+    declared, seen, pairs = [], set(), []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        if len(fields) == 3 and fields[1] == "<":
+            for name in (fields[0], fields[2]):
+                _check_token(name, lineno)
+                if name not in seen:
+                    declared.append(name)
+                    seen.add(name)
+            pairs.append((fields[0], fields[2]))
+        elif fields[0] == "elem":
+            if len(fields) != 2:
+                raise ParseError("expected 'elem NAME'", lineno)
+            _check_token(fields[1], lineno)
+            declared.append(fields[1])
+            seen.add(fields[1])
+        else:
+            raise ParseError(f"unrecognised line {line!r}", lineno)
+    return declared, pairs

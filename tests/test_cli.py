@@ -271,6 +271,22 @@ def test_parse_errors_exit_with_2(files, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("text", [
+    "elem x\nelem x\nnot a poset line\n",
+    "x < y\ny < x\nnot a poset line\n",
+])
+def test_a_parse_error_exits_with_2_before_a_duplicate_or_a_cycle(files, capsys, text):
+    bad = files("bad.poset", text)
+    code, out, err = run(capsys, "levels", bad)
+    assert (code, out, err) == (2, "", "error: line 3: unrecognised line 'not a poset line'\n")
+
+
+def test_an_invalid_name_exits_with_2_naming_its_line(files, capsys):
+    bad = files("bad.poset", "elem x\na < b<c\nnot a poset line\n")
+    code, out, err = run(capsys, "equiv", bad)
+    assert (code, out, err) == (2, "", "error: line 2: invalid element name 'b<c'\n")
+
+
 def test_rank_score_exponent_beyond_the_bound_exits_with_2(files, capsys):
     scores = files("scores.txt", "q 0.2 0.4\np 0 1e4301\n")
     code, out, err = run(capsys, "rank", scores, "-k", "1")

@@ -20,6 +20,7 @@ from posetlin import (
     SplitMix64,
     TooLargeError,
     UnknownElementError,
+    brute_order,
     brute_rank,
     build_poset,
     compute_levels,
@@ -32,7 +33,7 @@ from posetlin import (
     rank_items,
     render_poset,
 )
-from helpers import abc_poset, corpus, random_table
+from helpers import abc_poset, corpus, parse_poset_lines, random_table
 
 ABC_FILE = """\
 # a five element lattice
@@ -124,6 +125,91 @@ def posets(draw):
 @given(posets())
 def test_render_round_trip_property(p):
     assert parse_poset(render_poset(p)) == p
+
+
+@pytest.mark.parametrize("text, line", [
+    ("elem a\nelem a\nwhat is this\n", 3),  # not the duplicate
+    ("a < b\nb < a\nelem\n", 3),  # not the cycle
+    ("x < y # z\nelem a\nelem a b\n", 3),
+])
+def test_a_parse_error_is_reported_before_a_duplicate_or_a_cycle(text, line):
+    with pytest.raises(ParseError) as excinfo:
+        parse_poset(text)
+    assert excinfo.value.line == line
+
+
+def test_an_invalid_upper_name_is_reported_on_its_own_line():
+    with pytest.raises(ParseError, match="^line 3: invalid element name 'b<c'$"):
+        parse_poset("elem x\n# a < b<c\na < b<c\n")
+
+
+def test_an_earlier_invalid_name_beats_a_later_unrecognised_line():
+    for first in ("elem a<b", "a<b < c", "c < a<b"):
+        with pytest.raises(ParseError, match="^line 1: invalid element name 'a<b'$"):
+            parse_poset(first + "\nwhat is this\n")
+
+
+def test_comment_and_whitespace_only_lines_are_skipped():
+    text = "# only a comment\n \t\n\u3000\x85   # indented\nelem a\n\n"
+    assert parse_poset(text).elements == ("a",)
+    with pytest.raises(ParseError, match="^line 7: unrecognised line 'b c'$"):
+        parse_poset(text + "\tb c # trailing\n")
+
+
+def test_elem_may_name_either_end_of_an_edge():
+    p = parse_poset("elem < a\nb < elem\n")
+    assert p.elements == ("elem", "a", "b")
+    assert p.cover_pairs == frozenset([("elem", "a"), ("b", "elem")])
+    assert parse_poset("elem elem\nelem < a\n") == build_poset(["elem", "a"], [("elem", "a")])
+
+
+CLEAN_NAMES = ["a", "b", "c", "d", "elem", "\u00e9"]
+HOSTILE_NAMES = CLEAN_NAMES + ["a<b", "<", "#", "x#y", "a\x85b", "a\x0bb"]
+
+
+@st.composite
+def poset_soups(draw):
+    """Poset file text built from edge, ``elem``, comment and blank lines,
+    with every kind of whitespace; hostile soups also hold names that need
+    rejecting, line breaks inside a line (``\\x85``, ``\\x0b``) and lines of
+    no known form."""
+    hostile = draw(st.booleans())
+    name = st.sampled_from(HOSTILE_NAMES if hostile else CLEAN_NAMES)
+    kinds = ["edge", "edge", "edge", "elem", "comment", "blank"] + ["junk"] * hostile
+    spaces = st.sampled_from(" \t\u3000\xa0\x1f" + "\x85" * hostile)
+    lines = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(kinds))
+        space = draw(st.text(spaces, min_size=1, max_size=2))
+        if kind == "edge":
+            line = space.join([draw(name), "<", draw(name)])
+        elif kind == "elem":
+            line = "elem" + space + draw(name)
+        elif kind == "comment":
+            line = draw(st.sampled_from(["", "a < b ", "elem"])) + "# a < b"
+        elif kind == "blank":
+            line = space
+        else:
+            line = draw(st.sampled_from(["elem", "elem a b", "a < b < c", "a <b", "a"]))
+        lines.append(draw(st.sampled_from(["", space])) + line)
+    return "\n".join(lines)
+
+
+@settings(max_examples=400)
+@given(poset_soups())
+def test_parse_poset_matches_the_line_by_line_reference(text):
+    try:
+        declared, pairs = parse_poset_lines(text)
+        expected = build_poset(declared, pairs)
+    except Exception as exc:
+        with pytest.raises(Exception) as excinfo:
+            parse_poset(text)
+        assert (type(excinfo.value), str(excinfo.value)) == (type(exc), str(exc))
+        return
+    p = parse_poset(text)
+    assert p == expected
+    assert p.cover_pairs == expected.cover_pairs
+    assert (p.strict_pairs, p.cover_pairs) == brute_order(declared, pairs)
 
 
 F_MAPPING = """\

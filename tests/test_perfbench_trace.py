@@ -39,3 +39,34 @@ def test_traced_requests_are_answered_and_counted(tmp_path, monkeypatch):
     assert metrics["mappings.table_entries"] > 0
     assert metrics["poset.cover_pairs"] > 0
     assert metrics["mappings.table_check.self_ms"] > 0
+
+
+def test_a_traced_poset_file_request_counts_its_poset(tmp_path, monkeypatch):
+    """Loading a poset file must go through the module-level ``build_poset``,
+    which the tracer rebinds: a load path that bypassed it would read zero
+    here and blank the per-layer poset counters of every traced run."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.chdir(tmp_path)
+    from reference import Order, levels_json
+    from serve import Server
+    from tracing import Tracer
+    from workloads import Builder, poset_text, tiny_lattice
+
+    b = Builder("chart", 1)
+    declared, pairs = tiny_lattice()
+    path = b.file("lattice", poset_text(declared, pairs))
+    (tmp_path / path).write_text(b.files[path], encoding="utf-8")
+    b.cli(["levels", path, "--json"], levels_json(Order(declared, pairs), "primal"))
+
+    server = Server(b.deck)
+    tracer = Tracer()
+    try:
+        tracer.install()
+        server.one(0)
+    finally:
+        tracer.uninstall()
+    assert (server.attempted, server.failed) == (1, 0), server.failures
+    metrics, _ = tracer.metrics()
+    assert metrics["poset.build_poset.calls"] > 0
+    assert metrics["poset.elements"] > 0
+    assert metrics["poset.cover_pairs"] > 0

@@ -1,5 +1,7 @@
 """Construction, validation and elementary order queries."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -76,6 +78,30 @@ def test_pair_with_undeclared_element_is_rejected():
 def test_invalid_names_are_rejected(bad):
     with pytest.raises(ValueError):
         build_poset([bad], [])
+
+
+def test_every_whitespace_character_is_rejected_in_a_name():
+    spaces = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+    assert {"\x1c", "\x85", "\xa0", "\u3000"} <= set(spaces)
+    for ch in spaces:
+        for name in ("a" + ch + "b", ch, ch + "a", "a" + ch):
+            with pytest.raises(ValueError, match="may not contain whitespace"):
+                build_poset([name], [])
+    for bad in ("", None, 3, b"ab", ("a",)):
+        with pytest.raises(ValueError, match="must be a non-empty string"):
+            build_poset([bad], [])
+
+
+@pytest.mark.parametrize("pair, missing", [
+    (("y", "x"), "y"),
+    (("x", "y"), "y"),
+    (("y", "z"), "y"),
+])
+def test_unknown_element_error_names_the_first_missing_end(pair, missing):
+    message = f"unknown element {missing!r} in pair ({pair[0]!r}, {pair[1]!r})"
+    with pytest.raises(UnknownElementError) as excinfo:
+        build_poset(["x"], [pair])
+    assert str(excinfo.value) == message
 
 
 def test_leq_and_lt(abc_lattice):
