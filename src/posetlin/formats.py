@@ -25,12 +25,12 @@ Ranks files::
 
     name rank          # rank is an integer; every element needs exactly one
 
-Scores are compared exactly: the strings are parsed to rationals, which
-``rank_items`` sweeps in sorted order as integers at one common scale.  A
-plain ASCII decimal (an optional ``-``, then digits with at most one ``.``)
-is read as an integer over a power of ten; every other form ``Fraction``
-accepts goes through ``Fraction`` (decimal exponents up to 4300 in
-magnitude).
+Scores are compared exactly: the strings are parsed to integer ratios, on
+which ``lo <= hi`` is checked and which ``rank_items`` sweeps in sorted
+order as integers at one common scale.  A plain ASCII decimal (an optional
+``-``, then digits with at most one ``.``) is read as an integer over a power
+of ten; every other form ``Fraction`` accepts goes through ``Fraction``
+(decimal exponents up to 4300 in magnitude).
 """
 
 import json
@@ -46,13 +46,6 @@ from .poset import build_poset
 
 _MAX_EXPONENT = 4300  # the int digit limit; Fraction("1e10000000") takes seconds
 _MAX_SCALE_BITS = 4096
-
-
-def _logical_lines(text):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
 
 
 def _check_token(name, lineno):
@@ -101,11 +94,13 @@ def render_poset(p):
 
 def parse_mapping(text, domain, codomain):
     """Parse a mapping file into a total mapping table between two posets."""
-    lines = list(_logical_lines(text))
-    if not lines:
+    rows = enumerate(text.splitlines(), start=1)
+    for lineno, raw in rows:
+        fields = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        if fields:
+            break
+    else:
         raise ParseError("empty mapping file", 1)
-    lineno, header = lines[0]
-    fields = header.split()
     if len(fields) != 2 or fields[0] != "arity":
         raise ParseError("expected header 'arity N'", lineno)
     try:
@@ -115,19 +110,20 @@ def parse_mapping(text, domain, codomain):
     if arity < 1:
         raise ParseError(f"arity must be positive, got {arity}", lineno)
     entries = {}
-    for lineno, line in lines[1:]:
-        fields = line.split()
+    for lineno, raw in rows:
+        fields = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        if not fields:
+            continue
         if len(fields) != arity + 2 or fields[arity] != "->":
             raise ParseError(
                 f"expected {arity} argument(s), '->' and a value", lineno
             )
         key = tuple(fields[:arity])
         value = fields[arity + 1]
-        if key in entries and entries[key] != value:
+        if entries.setdefault(key, value) != value:
             raise ParseError(
                 f"conflicting rows for tuple ({', '.join(key)})", lineno
             )
-        entries[key] = value
     return MappingTable(domain, arity, codomain, entries)
 
 
@@ -137,48 +133,56 @@ class ScoredItem(namedtuple("ScoredItem", "item lo hi lo_text hi_text")):
     __slots__ = ()
 
 
-def _score(text):
-    # int(str) costs a quarter of Fraction(str)'s regex; a text longer than
-    # the int digit limit goes through Fraction, which reads each part alone
+def _plain(text):
+    # a plain decimal as (integer, power of ten), else None: int(str) costs a
+    # quarter of Fraction(str)'s regex; a text longer than the int digit
+    # limit goes through Fraction, which reads each part alone
     head, _, tail = text.partition(".")
     digits = head.removeprefix("-") + tail
     if digits.isascii() and digits.isdigit() and len(text) <= _MAX_EXPONENT:
-        return Fraction(int(head + tail), 10 ** len(tail))
-    return Fraction(text)
+        return int(head + tail), 10 ** len(tail)
+    return None
 
 
 def parse_scores(text):
     """Parse a scores file into a list of scored items, in file order."""
     items = []
     names = set()
-    for lineno, line in _logical_lines(text):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0] if "#" in raw else raw
         fields = line.split()
+        if not fields:
+            continue
         if len(fields) != 3:
             raise ParseError("expected 'item lo hi'", lineno)
         name, lo_text, hi_text = fields
         if name in names:
             raise ParseError(f"duplicate item {name!r}", lineno)
-        try:
-            for text in (lo_text, hi_text):
-                mark, exponent = text.upper().rpartition("E")[1:]
-                if mark and abs(int(exponent)) > _MAX_EXPONENT:
-                    raise ParseError(f"exponent of {text!r} exceeds {_MAX_EXPONENT}", lineno)
-            lo = _score(lo_text)
-            hi = _score(hi_text)
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"scores must be decimals: {line!r}", lineno) from None
-        if lo > hi:
-            raise ParseError(f"lo must not exceed hi in {line!r}", lineno)
+        lo, hi = _plain(lo_text), _plain(hi_text)
+        if lo is None or hi is None:  # both exponents are bounded before either is read
+            try:
+                for field in (lo_text, hi_text):
+                    mark, exponent = field.upper().rpartition("E")[1:]
+                    if mark and abs(int(exponent)) > _MAX_EXPONENT:
+                        raise ParseError(f"exponent of {field!r} exceeds {_MAX_EXPONENT}", lineno)
+                lo = lo or Fraction(lo_text).as_integer_ratio()
+                hi = hi or Fraction(hi_text).as_integer_ratio()
+            except (ValueError, ZeroDivisionError):
+                raise ParseError(f"scores must be decimals: {line.strip()!r}", lineno) from None
+        if lo[0] * hi[1] > hi[0] * lo[1]:  # denominators are positive
+            raise ParseError(f"lo must not exceed hi in {line.strip()!r}", lineno)
         names.add(name)
-        items.append(ScoredItem(name, lo, hi, lo_text, hi_text))
+        items.append(ScoredItem(name, Fraction(*lo), Fraction(*hi), lo_text, hi_text))
     return items
 
 
 def parse_ranks(text, p):
     """Parse a ranks file into a complete element-to-integer map for ``p``."""
     ranks = {}
-    for lineno, line in _logical_lines(text):
-        fields = line.split()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        if not fields:
+            continue
         if len(fields) != 2:
             raise ParseError("expected 'name rank'", lineno)
         name, rank_text = fields
@@ -223,35 +227,32 @@ def rank_items(items, k, direction=PRIMAL):
     items = list(items)
     if not items:
         raise EmptyInputError("no scored items to rank")
+    ends = [(it.lo.as_integer_ratio(), it.hi.as_integer_ratio()) for it in items]
     scale = 1
-    for d in {v.denominator for it in items for v in (it.lo, it.hi)}:
+    for d in {d for pair in ends for _, d in pair}:
         scale = lcm(scale, d)
         if scale.bit_length() > _MAX_SCALE_BITS:  # coprime denominators: keys
-            scale = None  # would grow without bound, so compare the Fractions
+            scale = None  # would grow without bound, so compare the rationals
             break
     sign = -1 if direction == PRIMAL else 1
-
-    def key(v):
-        return sign * v if scale is None else sign * v.numerator * (scale // v.denominator)
-    slot_of = {}
-    texts = []
-    slots = []
-    for it in items:
-        slot = slot_of.setdefault((key(it.lo), key(it.hi)), len(texts))
-        if slot == len(texts):
-            texts.append((it.lo_text, it.hi_text))
-        slots.append(slot)
-    level = [0] * len(texts)
+    if scale is None:
+        keys = [(sign * it.lo, sign * it.hi) for it in items]
+    else:
+        keys = [(sign * a * (scale // b), sign * c * (scale // d)) for (a, b), (c, d) in ends]
+    first = {}  # distinct interval -> its first item, in file order
+    for n, key in enumerate(keys):
+        first.setdefault(key, n)
+    level = {}
     tails = []
-    for (_, hi), s in sorted(zip(slot_of, range(len(texts)))):
-        level[s] = i = bisect_right(tails, hi)
-        tails[i:i + 1] = [hi]  # replaces tails[i], or appends a new level
+    for key in sorted(first):
+        level[key] = i = bisect_right(tails, key[1])
+        tails[i:i + 1] = [key[1]]  # replaces tails[i], or appends a new level
     names = [[] for _ in tails]
     intervals = [[] for _ in tails]
-    for it, s in zip(items, slots):
-        names[level[s]].append(it.item)
-    for s, text in enumerate(texts):
-        intervals[level[s]].append(text)
+    for it, key in zip(items, keys):
+        names[level[key]].append(it.item)
+    for key, n in first.items():
+        intervals[level[key]].append((items[n].lo_text, items[n].hi_text))
     groups = []
     emitted = 0
     for i in range(len(tails)) if direction == PRIMAL else reversed(range(len(tails))):

@@ -1,9 +1,18 @@
-"""Shared builders for the test suite: canned posets, seeded corpora, and
-constructive generators for monotone and antitone tables."""
+"""Shared builders for the test suite: canned posets, seeded corpora,
+constructive generators for monotone and antitone tables, and reference
+readers for the file formats, one logical line at a time."""
 
+from fractions import Fraction
 from itertools import product
 
-from posetlin import MappingTable, ParseError, SplitMix64, build_poset, random_poset
+from posetlin import (
+    MappingTable,
+    ParseError,
+    ScoredItem,
+    SplitMix64,
+    build_poset,
+    random_poset,
+)
 
 EDGE_PROBS = (0.0, 0.1, 0.3, 0.7, 1.0)
 
@@ -194,3 +203,99 @@ def parse_poset_lines(text):
         else:
             raise ParseError(f"unrecognised line {line!r}", lineno)
     return declared, pairs
+
+
+def _logical_lines(text):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def parse_mapping_lines(text, domain, codomain):
+    """Reference reader for mapping files over a list of logical lines; it
+    must build the table ``formats.parse_mapping`` builds, or raise alike."""
+    lines = list(_logical_lines(text))
+    if not lines:
+        raise ParseError("empty mapping file", 1)
+    lineno, header = lines[0]
+    fields = header.split()
+    if len(fields) != 2 or fields[0] != "arity":
+        raise ParseError("expected header 'arity N'", lineno)
+    try:
+        arity = int(fields[1])
+    except ValueError:
+        raise ParseError(f"arity is not an integer: {fields[1]!r}", lineno) from None
+    if arity < 1:
+        raise ParseError(f"arity must be positive, got {arity}", lineno)
+    entries = {}
+    for lineno, line in lines[1:]:
+        fields = line.split()
+        if len(fields) != arity + 2 or fields[arity] != "->":
+            raise ParseError(f"expected {arity} argument(s), '->' and a value", lineno)
+        key = tuple(fields[:arity])
+        value = fields[arity + 1]
+        if key in entries and entries[key] != value:
+            raise ParseError(f"conflicting rows for tuple ({', '.join(key)})", lineno)
+        entries[key] = value
+    return MappingTable(domain, arity, codomain, entries)
+
+
+def _score_value(text):
+    head, _, tail = text.partition(".")
+    digits = head.removeprefix("-") + tail
+    if digits.isascii() and digits.isdigit() and len(text) <= 4300:
+        return Fraction(int(head + tail), 10 ** len(tail))
+    return Fraction(text)
+
+
+def parse_scores_lines(text):
+    """Reference reader for scores files on ``Fraction`` values throughout:
+    exponents bounded, each text read, then ``lo > hi`` compared as
+    rationals.  ``formats.parse_scores`` must give equal items or the same
+    error."""
+    items = []
+    names = set()
+    for lineno, line in _logical_lines(text):
+        fields = line.split()
+        if len(fields) != 3:
+            raise ParseError("expected 'item lo hi'", lineno)
+        name, lo_text, hi_text = fields
+        if name in names:
+            raise ParseError(f"duplicate item {name!r}", lineno)
+        try:
+            for field in (lo_text, hi_text):
+                mark, exponent = field.upper().rpartition("E")[1:]
+                if mark and abs(int(exponent)) > 4300:
+                    raise ParseError(f"exponent of {field!r} exceeds 4300", lineno)
+            lo = _score_value(lo_text)
+            hi = _score_value(hi_text)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"scores must be decimals: {line!r}", lineno) from None
+        if lo > hi:
+            raise ParseError(f"lo must not exceed hi in {line!r}", lineno)
+        names.add(name)
+        items.append(ScoredItem(name, lo, hi, lo_text, hi_text))
+    return items
+
+
+def parse_ranks_lines(text, p):
+    """Reference reader for ranks files over logical lines."""
+    ranks = {}
+    for lineno, line in _logical_lines(text):
+        fields = line.split()
+        if len(fields) != 2:
+            raise ParseError("expected 'name rank'", lineno)
+        name, rank_text = fields
+        if name not in p:
+            raise ParseError(f"unknown element {name!r}", lineno)
+        if name in ranks:
+            raise ParseError(f"duplicate rank for {name!r}", lineno)
+        try:
+            ranks[name] = int(rank_text)
+        except ValueError:
+            raise ParseError(f"rank is not an integer: {rank_text!r}", lineno) from None
+    for x in p.elements:
+        if x not in ranks:
+            raise ParseError(f"no rank given for element {x!r}", 1)
+    return ranks

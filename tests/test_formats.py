@@ -2,6 +2,7 @@
 
 import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,6 +18,7 @@ from posetlin import (
     EmptyInputError,
     MissingTupleError,
     ParseError,
+    ScoredItem,
     SplitMix64,
     TooLargeError,
     UnknownElementError,
@@ -33,7 +35,16 @@ from posetlin import (
     rank_items,
     render_poset,
 )
-from helpers import abc_poset, corpus, parse_poset_lines, random_table
+from helpers import (
+    abc_poset,
+    corpus,
+    diamond_poset,
+    parse_mapping_lines,
+    parse_poset_lines,
+    parse_ranks_lines,
+    parse_scores_lines,
+    random_table,
+)
 
 ABC_FILE = """\
 # a five element lattice
@@ -247,6 +258,12 @@ def test_parse_mapping_header_errors(abc_lattice):
             parse_mapping(text, abc_lattice, abc_lattice)
 
 
+@pytest.mark.parametrize("text", ["", "\n", "# arity 1\n  \n", "\x85\u3000\r\n# c"])
+def test_a_mapping_file_without_a_logical_line_is_empty_at_line_1(abc_lattice, text):
+    with pytest.raises(ParseError, match="^line 1: empty mapping file$"):
+        parse_mapping(text, abc_lattice, abc_lattice)
+
+
 def test_parse_mapping_row_errors(abc_lattice):
     with pytest.raises(ParseError):
         parse_mapping("arity 1\nbot bot\n", abc_lattice, abc_lattice)
@@ -277,6 +294,100 @@ def test_mapping_round_trip_property(dom, cod, seed, shuffler, data):
     rows = [f"{' '.join(xs)} -> {y}\n" for xs, y in table.table.items()]
     shuffler.shuffle(rows)
     assert parse_mapping(f"arity {arity}\n" + "".join(rows), dom, cod) == table
+
+
+def assert_reads_like(read, reference, *args):
+    """``read(*args)`` returns what ``reference(*args)`` returns, or raises an
+    exception of the same type and text; gives the shared result."""
+    try:
+        expected = reference(*args)
+    except Exception as exc:
+        with pytest.raises(Exception) as excinfo:
+            read(*args)
+        assert (type(excinfo.value), str(excinfo.value)) == (type(exc), str(exc))
+        return None
+    got = read(*args)
+    assert got == expected
+    return got
+
+
+SMALL_POSETS = {"abc": abc_poset(), "diamond": diamond_poset()}
+SPACES = st.text(st.sampled_from(" \t\x1f\u3000"), min_size=1, max_size=2)
+
+
+@st.composite
+def spoiled_rows(draw, rows, spoilers):
+    """``rows`` in drawn order, then spoiled: rows dropped or repeated, and
+    drawn ``spoilers`` (bad rows, blank and comment lines) put in, joined by
+    drawn whitespace."""
+    rows = list(draw(st.permutations(rows)))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(rows)))
+        action = draw(st.sampled_from(["drop", "repeat", "spoil", "spoil"]))
+        if action == "drop" and rows:
+            del rows[min(at, len(rows) - 1)]
+        elif action == "repeat" and rows:
+            rows.insert(at, draw(st.sampled_from(rows)))
+        elif action == "spoil":
+            rows.insert(at, draw(spoilers))
+    space = draw(SPACES)
+    return [space.join(row.split(" ")) + draw(st.sampled_from(["", " ", "# note"])) for row in rows]
+
+
+COMMENT_LINES = ["", "  ", "# a -> b", "\u3000# 1"]
+
+
+@st.composite
+def mapping_files(draw):
+    """Mapping files over the small posets: whole tables, then header errors,
+    short rows, conflicts, unknown names on either side, identical duplicate
+    rows, missing rows and blank or comment-only lines."""
+    dom = draw(st.sampled_from(sorted(SMALL_POSETS)))
+    cod = draw(st.sampled_from(sorted(SMALL_POSETS)))
+    domain, codomain = SMALL_POSETS[dom], SMALL_POSETS[cod]
+    arity = draw(st.integers(1, 2))
+    value = st.sampled_from(codomain.elements)
+    rows = [f"{' '.join(xs)} -> {draw(value)}" for xs in product(domain.elements, repeat=arity)]
+    arg = st.sampled_from(domain.elements)
+    spoilers = st.one_of(
+        st.builds(lambda x, y: f"{x}{' bot' * (arity - 1)} -> {y}", arg, value),  # conflicts
+        st.sampled_from([f"zz{' bot' * (arity - 1)} -> bot", f"bot{' bot' * (arity - 1)} -> zz"]),
+        st.sampled_from(["bot ->", "bot bot", f"bot{' bot' * arity} -> bot", "-> bot"]),
+        st.sampled_from(COMMENT_LINES),
+    )
+    header = draw(st.sampled_from(
+        [f"arity {arity}"] * 12 + ["arity x", "arity 0", "arity", f"arity {arity} 1", "", "bot -> bot"]
+    ))
+    lines = [*draw(st.lists(st.sampled_from(COMMENT_LINES), max_size=2)), header]
+    if draw(st.integers(0, 9)):
+        lines += draw(spoiled_rows(rows, spoilers))
+    return "\n".join(lines), dom, cod
+
+
+@settings(max_examples=200)
+@given(mapping_files())
+def test_parse_mapping_matches_the_line_list_reference(drawn):
+    text, dom, cod = drawn
+    assert_reads_like(parse_mapping, parse_mapping_lines, text, SMALL_POSETS[dom], SMALL_POSETS[cod])
+
+
+@st.composite
+def ranks_files(draw):
+    """Ranks files over the small posets: every element ranked, then rows
+    missing or repeated, unknown names, ranks that are not integers, rows of
+    the wrong length and blank or comment-only lines."""
+    name = draw(st.sampled_from(sorted(SMALL_POSETS)))
+    rank = st.integers(-5, 5)
+    rows = [f"{x} {draw(rank)}" for x in SMALL_POSETS[name].elements]
+    spoilers = st.sampled_from(["zz 1", "a x", "a 1.5", "a", "a 1 2", "a\u0663", *COMMENT_LINES])
+    return "\n".join(draw(spoiled_rows(rows, spoilers))), name
+
+
+@settings(max_examples=200)
+@given(ranks_files())
+def test_parse_ranks_matches_the_line_list_reference(drawn):
+    text, name = drawn
+    assert_reads_like(parse_ranks, parse_ranks_lines, text, SMALL_POSETS[name])
 
 
 def test_parse_scores():
@@ -362,6 +473,61 @@ def test_plain_decimals_skip_the_fraction_string_parser(monkeypatch):
     assert parse_scores(text) == expected
     with pytest.raises(AssertionError):  # the guard is live
         parse_scores("p 1/2 1\n")
+
+
+SCORE_FORMS = [
+    "0", "0.5", "0.50", "-.5", "5.", "-0", "+0.5", "1_0", "1/2", "-3/4", "1/0", "5e-1",
+    "1E+2", "-2.5e1", "\u0663", "-\uff10.5", ".", "-", "--5", "1.2.3", "x", "1e", "1e4300",
+    "1e-4300", "1e4301", "1e-4301", "1E+4_301", "1" * 4300, "1" * 4301, "-" + "1" * 4300,
+    "0." + "1" * 4298, "0." + "1" * 4299,
+]
+
+
+@st.composite
+def plain_decimals(draw):
+    value = draw(st.integers(-(10**7), 10**7))
+    places = draw(st.integers(0, 4))
+    whole, part = divmod(abs(value), 10**places)
+    text = f"{whole}.{part:0{places}d}" + "0" * draw(st.integers(0, 2)) if places else str(whole)
+    return ("-" if value < 0 else "") + text
+
+
+@st.composite
+def score_soups(draw):
+    """Scores file text: rows with plain, padded, exponent, fraction and
+    malformed fields, fields just over the exponent and digit bounds,
+    duplicate names, ``lo > hi``, comments, rows of the wrong length, every
+    kind of whitespace and ``\\x85`` or ``\\r\\n`` line breaks."""
+    field = st.one_of(plain_decimals(), plain_decimals(), st.sampled_from(SCORE_FORMS))
+    name = st.sampled_from(["a", "b", "c", "d", "e", "f", "g", "\u00e9"])
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["row"] + ["sorted row"] * 3 + ["comment", "blank", "junk"]))
+        space = draw(SPACES)
+        if kind == "row":
+            line = space.join([draw(name), draw(field), draw(field)])
+        elif kind == "sorted row":
+            line = space.join([draw(name), *sorted([draw(plain_decimals()) for _ in "lh"], key=Fraction)])
+        elif kind == "comment":
+            line = draw(st.sampled_from(["", "a 0 1 "])) + "# a 1 0"
+        elif kind == "blank":
+            line = space
+        else:
+            line = space.join(draw(st.lists(field, min_size=1, max_size=4).filter(lambda f: len(f) != 2)))
+        lines.append(draw(st.sampled_from(["", space])) + line + draw(st.sampled_from(["\n", "\x85", "\r\n"])))
+    return "".join(lines)
+
+
+def score_fields(items):
+    return [(it.item, it.lo, it.hi, type(it.lo), type(it.hi), it.lo_text, it.hi_text) for it in items]
+
+
+@settings(max_examples=300)
+@given(score_soups())
+def test_parse_scores_matches_the_fraction_reference(text):
+    items = assert_reads_like(parse_scores, parse_scores_lines, text)
+    if items is not None:
+        assert score_fields(items) == score_fields(parse_scores_lines(text))
 
 
 def test_parse_ranks(diamond):
@@ -524,6 +690,21 @@ def test_rank_matches_the_dominance_poset_reference(seed):
         lines += ["tiny 0 1e-1300", "zero 0 0"]
     items = parse_scores("\n".join(lines) + "\n")
     assert_ranks_like_the_reference(items, (1, max(1, m // 2), m + 3))
+
+
+def test_rank_matches_the_reference_on_hand_built_items():
+    # int and Fraction ends, negatives, lo == hi, and two large coprime
+    # denominators whose lcm is past the integer-key scale
+    small, smaller = Fraction(1, 2**2200), Fraction(1, 3**1400)
+    ends = [
+        (0, 1), (Fraction(1, 2), 1), (Fraction(-3, 4), Fraction(-1, 2)), (-2, Fraction(7, 3)),
+        (1, 1), (Fraction(1), 1), (-2, -2), (smaller, small), (0, small), (smaller, smaller),
+        (Fraction(-1, 2), 0), (Fraction(-3, 4), Fraction(-1, 2)),
+    ]
+    items = [ScoredItem(f"i{n}", lo, hi, str(lo), str(hi)) for n, (lo, hi) in enumerate(ends)]
+    assert_ranks_like_the_reference(items, range(1, len(items) + 2))
+    scaled = [it for it in items if small not in (it.lo, it.hi) and smaller not in (it.lo, it.hi)]
+    assert_ranks_like_the_reference(scaled, range(1, len(scaled) + 2))
 
 
 @st.composite

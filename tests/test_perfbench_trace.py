@@ -70,3 +70,34 @@ def test_a_traced_poset_file_request_counts_its_poset(tmp_path, monkeypatch):
     assert metrics["poset.build_poset.calls"] > 0
     assert metrics["poset.elements"] > 0
     assert metrics["poset.cover_pairs"] > 0
+
+
+def test_a_traced_rank_request_counts_its_items(tmp_path, monkeypatch):
+    """The tracer counts ``rank``'s items and distinct intervals from the
+    ``ScoredItem`` list that ``rank_items`` is given: a change to either
+    would read zero here instead of blanking those counters in traced runs."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.chdir(tmp_path)
+    from reference import ranking_json
+    from serve import Server
+    from tracing import Tracer
+    from workloads import Builder, rank_argv, scored_items, scores_text
+
+    b = Builder("rank", 1)
+    items = scored_items(b.rng, 50)
+    path = b.file("scores", scores_text(items))
+    (tmp_path / path).write_text(b.files[path], encoding="utf-8")
+    b.cli(rank_argv(path, 5, "primal"), ranking_json(items, 5, "primal"))
+
+    server = Server(b.deck)
+    tracer = Tracer()
+    try:
+        tracer.install()
+        server.one(0)
+    finally:
+        tracer.uninstall()
+    assert (server.attempted, server.failed) == (1, 0), server.failures
+    metrics, _ = tracer.metrics()
+    assert metrics["formats.scored_items"] > 0
+    assert metrics["formats.distinct_intervals"] > 0
+    assert metrics["formats.rank_items.self_ms"] > 0
