@@ -57,6 +57,7 @@ from .mappings import (
 from .oracle import (
     MAX_BRUTE_RANK,
     SplitMix64,
+    brute_extend,
     brute_levels,
     brute_order,
     brute_preserves,
@@ -99,6 +100,7 @@ __all__ = [
     "SplitMix64",
     "TooLargeError",
     "UnknownElementError",
+    "brute_extend",
     "brute_levels",
     "brute_order",
     "brute_preserves",

@@ -24,8 +24,8 @@ from .oracle import brute_levels, enumerate_maximal_chains
 
 
 def _read(path):
-    with open(path, encoding="utf-8") as handle:
-        return handle.read()
+    with open(path, "rb") as handle:  # no newline translation: every parser uses splitlines()
+        return handle.read().decode("utf-8")
 
 
 def _load_poset(path):
@@ -147,7 +147,7 @@ def _cmd_rank(args):
             print(f"group {index}: {' '.join(group.items)}")
 
 
-@functools.cache  # parse_args leaves the parser as it was, so one serves every call
+@functools.cache  # parsing leaves the parsers as they were, so one set serves every call
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="posetlin",
@@ -157,7 +157,7 @@ def _build_parser():
 
     def add(name, handler, help_text):
         cmd = sub.add_parser(name, help=help_text)
-        cmd.set_defaults(func=handler)
+        cmd.set_defaults(func=handler, command=name)  # as the root parser would set it
         cmd.add_argument("--json", action="store_true", help="emit canonical JSON")
         return cmd
 
@@ -197,11 +197,16 @@ def _build_parser():
     cmd.add_argument("-k", type=int, required=True, help="minimum number of items to emit")
     cmd.add_argument("--dual", action="store_true")
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    command = commands.get(argv[0]) if argv else None  # the root parser would hand it argv[1:]
+    args, extra = (None, True) if command is None else command.parse_known_args(argv[1:])
+    if extra:  # no command, an unknown one, or arguments left over: the root parser reports it
+        args = parser.parse_args(argv)
     try:
         args.func(args)
     except ParseError as exc:

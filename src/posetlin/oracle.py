@@ -7,12 +7,16 @@ set comprehension, independently of the longest-path layering used by
 ``compute_levels``; ``brute_order`` re-derives the order and its covers from
 the raw generating pairs, independently of ``build_poset``; ``brute_rank``
 ranks interval scores through the explicit dominance poset, independently of
-the integer sweep in ``rank_items``.
+the integer sweep in ``rank_items``; ``brute_extend`` extends a table by
+scanning each class product, independently of the slot pass in ``extend``.
 """
+
+from itertools import product
 
 from .errors import CycleError, EmptyInputError, EmptyPosetError, TooLargeError
 from .formats import RankGroup, Ranking
 from .levels import PRIMAL, Linearisation, _check_direction, compute_levels
+from .mappings import MODE_OVER, MODES, ClassMapping
 from .poset import build_poset
 
 MAX_BRUTE_LEVELS = 64
@@ -141,6 +145,29 @@ def brute_preserves(table, leq, ok):
             if all(map(leq, xs, ys)) and not ok(u, v):
                 return False
     return True
+
+
+def brute_extend(table, domain_lin, codomain_lin, mode):
+    """Extension of a mapping table to classes, straight from its definition.
+
+    For each tuple of domain level indices, looks the table up on every
+    member tuple of the class product and keeps the codomain class of
+    greatest (mode "over") or least (mode "under") rank.  Output equals
+    ``extend(table, domain_lin, codomain_lin, mode)`` exactly; capped at
+    ``MAX_BRUTE_TABLE`` table entries.
+    """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if len(table.domain) ** table.arity > MAX_BRUTE_TABLE:
+        raise TooLargeError(f"brute_extend is capped at {MAX_BRUTE_TABLE} table entries")
+    entries = table.table
+    pick = max if mode == MODE_OVER else min
+    out = {}
+    for key in product(range(domain_lin.num_classes), repeat=table.arity):
+        members = product(*(domain_lin.levels[c] for c in key))
+        images = {codomain_lin.class_of[entries[xs]] for xs in members}
+        out[key] = pick(images, key=codomain_lin.rank)
+    return ClassMapping(domain_lin, codomain_lin, table.arity, mode, out)
 
 
 def brute_rank(items, k, direction=PRIMAL):

@@ -266,11 +266,16 @@ class Poset:
         A finite poset with a greatest element in which every pair has a meet
         is a lattice (Davey & Priestley), so joins are not searched.
         """
-        if sum(not up for up in self._up) > 1:  # two maximal elements have no join
+        up, down = self._up, self._down
+        if sum(not s for s in up) > 1 or sum(not s for s in down) > 1:  # no join or no meet
             return False
-        reflexive = [s | 1 << i for i, s in enumerate(self._down)]
+        full = (1 << len(up)) - 1
+        reflexive = [s | 1 << i for i, s in enumerate(down)]
         owned = set(reflexive)
-        return all({a & b for b in reflexive[i + 1 :]} <= owned for i, a in enumerate(reflexive))
+        return all(  # a row with no later incomparable element is skipped: a chain is n masks
+            not (full & ~(up[i] | a)) >> (i + 1) or {a & b for b in reflexive[i + 1 :]} <= owned
+            for i, a in enumerate(reflexive)
+        )
 
     def sup(self, x, y):
         """Least upper bound of ``{x, y}``; raises ``NotALatticeError`` if absent."""

@@ -1,16 +1,20 @@
 """Shared builders for the test suite: canned posets, seeded corpora,
-constructive generators for monotone and antitone tables, and reference
-readers for the file formats, one logical line at a time."""
+constructive generators for monotone and antitone tables, reference
+readers for the file formats, one logical line at a time, and the CLI's
+earlier dispatch and file reader."""
 
+import sys
 from fractions import Fraction
 from itertools import product
 
 from posetlin import (
     MappingTable,
     ParseError,
+    PosetlinError,
     ScoredItem,
     SplitMix64,
     build_poset,
+    cli,
     random_poset,
 )
 
@@ -299,3 +303,24 @@ def parse_ranks_lines(text, p):
         if x not in ranks:
             raise ParseError(f"no rank given for element {x!r}", 1)
     return ranks
+
+
+def main_via_root(argv=None):
+    """``posetlin.cli.main`` dispatching through the root parser: it parses
+    all of ``argv`` and its subparsers action hands the rest to the command."""
+    args = cli._build_parser()[0].parse_args(argv)
+    try:
+        args.func(args)
+    except ParseError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (PosetlinError, OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    return 0
+
+
+def read_text_mode(path):
+    """The CLI's file reader in text mode, with universal newlines."""
+    with open(path, encoding="utf-8") as handle:
+        return handle.read()

@@ -1,19 +1,24 @@
 """End-to-end CLI behaviour, including exit codes and JSON output."""
 
 import argparse
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import posetlin
-from posetlin import Linearisation, cli
+from posetlin import Linearisation, SplitMix64, cli
 from posetlin.cli import main
+from helpers import main_via_root, read_text_mode
 
 ABC_FILE = """\
 elem bot
@@ -449,3 +454,186 @@ def test_extend_reports_a_conflict_before_an_earlier_unknown_element(files, caps
     mapping = files("clash.map", text)
     code, out, err = run(capsys, "extend", abc, abc, mapping, "--mode", "over")
     assert (code, out, err) == (2, "", "error: line 5: conflicting rows for tuple (bot)\n")
+
+
+def test_readme_command_line_block_names_every_subcommand():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    named = [line.split()[1] for line in block.splitlines() if line.startswith("posetlin ")]
+    assert sorted(named) == sorted(cli._build_parser()[1])
+
+
+DECK_FILES = {
+    "abc.poset": ABC_FILE,
+    "diamond.poset": DIAMOND_FILE,
+    "cycle.poset": "x < y\ny < x\n",
+    "f.map": F_MAPPING,
+    "scores.txt": SCORES_FILE,
+    "ranks.txt": "bot 0\na 1\nb 2\ntop 3\n",
+}
+
+
+@pytest.fixture(scope="module")
+def deck(tmp_path_factory):
+    """Real files for every command, a directory and a missing path, by name."""
+    root = tmp_path_factory.mktemp("deck")
+    paths = {"dir": str(root), "missing": str(root / "missing.poset")}
+    for name, text in DECK_FILES.items():
+        (root / name).write_text(text, encoding="utf-8")
+        paths[name] = str(root / name)
+    return paths
+
+
+@pytest.fixture(scope="module")
+def recorded():
+    """Fresh parsers whose handlers record the namespace they are called with."""
+    cli._build_parser.cache_clear()
+    seen = []
+    for command in cli._build_parser()[1].values():
+        handler = command.get_default("func")
+
+        def record(args, handler=handler):
+            seen.append(dict(vars(args)))
+            handler(args)
+
+        command.set_defaults(func=record)
+    yield seen
+    cli._build_parser.cache_clear()
+
+
+def _outcome(entry, argv, seen):
+    """Exit code (or ``SystemExit`` code), stdout, stderr and handler namespaces."""
+    seen.clear()
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = entry(list(argv))
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+    return code, out.getvalue(), err.getvalue(), list(seen)
+
+
+# one well-formed argv per command, which the draws then cut and extend
+TEMPLATES = {
+    "check": ["abc.poset"],
+    "levels": ["abc.poset", "--oracle"],
+    "elcc": ["abc.poset", "--oracle"],
+    "equiv": ["diamond.poset"],
+    "extend": ["abc.poset", "abc.poset", "f.map", "--mode", "over"],
+    "witness": ["diamond.poset", "ranks.txt"],
+    "rank": ["scores.txt", "-k", "2"],
+}
+NEAR_MISSES = ["lev", "CHECK", "", "levelsx", "ran", "--json", "-h", "--help", "--", "-k5"]
+TOKENS = [
+    "--json", "--js", "--j", "--dual", "--du", "--d", "--oracle", "--ora", "--o",
+    "--mode", "--mo", "--mode=over", "--mode=under", "--mode=sideways", "--mode=",
+    "over", "under", "sideways", "--domain-dual", "--dom", "--codomain-dual", "--co",
+    "-k", "-k5", "-k=5", "-k=x", "-k-3", "x", "-3", "5", "0", "--", "-h", "--help",
+    "-x", "--nope", "-", *DECK_FILES, "dir", "missing",
+]
+
+
+def _drawn_argv(choose, paths):
+    """An argv built from ``choose(options)`` picks: a template cut and
+    extended by drawn tokens, its command sometimes replaced by a near miss
+    or preceded by one, and now and then empty."""
+    if choose(range(25)) == 0:
+        return []
+    command = choose(list(TEMPLATES))
+    rest = list(TEMPLATES[command])
+    for _ in range(min(choose(range(3)), len(rest))):
+        del rest[choose(range(len(rest)))]
+    for _ in range(choose(range(4))):
+        rest.insert(choose(range(len(rest) + 1)), choose(TOKENS))
+    if choose(range(6)) == 0:
+        command = choose(NEAR_MISSES)
+    head = [choose(NEAR_MISSES)] if choose(range(10)) == 0 else []
+    return [paths.get(token, token) for token in head + [command] + rest]
+
+
+HAND_PICKED = [
+    [], ["-h"], ["--help"], ["levels", "-h"], ["rank", "--help", "nope"], ["--", "levels"],
+    ["lev", "abc.poset"], ["CHECK", "abc.poset"], ["", "abc.poset"], ["--json", "check"],
+    ["levels", "abc.poset", "--js", "--du", "--ora"], ["levels", "--", "abc.poset"],
+    ["levels", "abc.poset", "extra"], ["check", "abc.poset", "--dual"],
+    ["rank", "scores.txt", "-k5"], ["rank", "scores.txt", "-k=2"], ["rank", "scores.txt", "-k", "x"],
+    ["rank", "scores.txt", "-k", "-3"], ["rank", "scores.txt"], ["rank", "-k", "1"],
+    ["extend", "abc.poset", "abc.poset", "f.map", "--mode", "sideways"],
+    ["extend", "abc.poset", "abc.poset", "f.map", "--mo=under", "--dom", "--co"],
+    ["extend", "abc.poset", "abc.poset", "f.map", "--mode", "over", "--d"],
+    ["witness", "diamond.poset"], ["witness", "diamond.poset", "ranks.txt", "ranks.txt"],
+    ["equiv", "dir"], ["elcc", "missing"], ["check", "cycle.poset", "--json"],
+]
+
+
+@pytest.mark.parametrize("argv", HAND_PICKED, ids=[" ".join(a) or "<empty>" for a in HAND_PICKED])
+def test_dispatch_matches_the_root_parser_on_hand_picked_argv(deck, recorded, argv):
+    argv = [deck.get(token, token) for token in argv]
+    assert _outcome(main, argv, recorded) == _outcome(main_via_root, argv, recorded)
+
+
+def test_dispatch_matches_the_root_parser_on_a_seeded_sweep(deck, recorded):
+    rng = SplitMix64(17)
+    kinds = set()
+    for _ in range(1500):
+        argv = _drawn_argv(lambda options: options[rng.below(len(options))], deck)
+        outcome = _outcome(main, argv, recorded)
+        assert outcome == _outcome(main_via_root, argv, recorded), argv
+        code, _, err, _ = outcome
+        kinds.add(code)
+        kinds.update(text for text in ("unrecognized arguments", "invalid choice") if text in err)
+    # the sweep reaches every exit of both the handlers and argparse
+    assert kinds == {
+        0, 1, 2, ("SystemExit", 0), ("SystemExit", 2), "unrecognized arguments", "invalid choice"
+    }
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_dispatch_matches_the_root_parser_on_drawn_argv(deck, recorded, data):
+    argv = _drawn_argv(lambda options: data.draw(st.sampled_from(options)), deck)
+    assert _outcome(main, argv, recorded) == _outcome(main_via_root, argv, recorded)
+
+
+# each command's argv and the position of the file whose bytes are varied
+READERS = {
+    "check": (["check", "abc.poset", "--json"], 1),
+    "levels": (["levels", "abc.poset"], 1),
+    "rank": (["rank", "scores.txt", "-k", "2"], 1),
+    "extend-map": (["extend", "abc.poset", "abc.poset", "f.map", "--mode", "over"], 3),
+    "extend-dom": (["extend", "abc.poset", "diamond.poset", "f.map", "--mode", "under"], 1),
+    "witness": (["witness", "diamond.poset", "ranks.txt", "--json"], 2),
+}
+PAD = b"# padding\n" * 5000
+BYTE_VARIANTS = {
+    "crlf": lambda text: text.replace("\n", "\r\n").encode(),
+    "cr": lambda text: text.replace("\n", "\r").encode(),
+    "cr-crlf-mix": lambda text: text.replace("\n", "\r", 2).replace("\n", "\r\r\n").encode(),
+    "nel": lambda text: text.replace("\n", "\x85").encode(),
+    "line-separator": lambda text: text.replace("\n", "\u2028").encode(),
+    "bom": lambda text: ("\ufeff" + text).encode(),
+    "invalid-early": lambda text: b"\xff" + text.encode(),
+    "invalid-late": lambda text: text.encode() + PAD + b"\xff\n",
+    "invalid-late-crlf": lambda text: (text.encode() + PAD).replace(b"\n", b"\r\n") + b"\xc3(",
+    "truncated-tail": lambda text: text.encode() + "é".encode()[:1],
+    "directory": None,
+    "missing": None,
+}
+
+
+@pytest.mark.parametrize("variant", BYTE_VARIANTS)
+@pytest.mark.parametrize("command", READERS)
+def test_byte_reader_matches_the_text_mode_reader(deck, tmp_path, monkeypatch, command, variant):
+    argv, position = READERS[command]
+    argv = [deck.get(token, token) for token in argv]
+    make = BYTE_VARIANTS[variant]
+    if make is None:
+        argv[position] = deck["dir" if variant == "directory" else "missing"]
+    else:
+        path = tmp_path / Path(argv[position]).name
+        path.write_bytes(make(DECK_FILES[path.name]))
+        argv[position] = str(path)
+    new = _outcome(main, argv, [])[:3]
+    monkeypatch.setattr(cli, "_read", read_text_mode)
+    assert new == _outcome(main, argv, [])[:3]

@@ -21,6 +21,7 @@ from posetlin import (
     SplitMix64,
     TooLargeError,
     UnknownElementError,
+    brute_extend,
     brute_preserves,
     build_poset,
     compute_levels,
@@ -272,6 +273,14 @@ def test_sandwich_holds_for_binary_tables_too():
         )
 
 
+def test_sandwich_holds_for_ternary_tables_too():
+    small_pairs = [(d, c) for d, c in PAIRS if len(d) <= 3][:10]
+    for i, (dom, cod) in enumerate(small_pairs):
+        table = random_table(dom, cod, seed=850 + i, arity=3)
+        for ddir, cdir in product(DIRECTIONS, DIRECTIONS):
+            assert _sandwich_holds(table, compute_levels(dom, ddir), compute_levels(cod, cdir))
+
+
 def test_preservation_of_monotone_and_antitone_tables():
     for i, (dom, cod) in enumerate(PAIRS[:30]):
         monotone = random_monotone_table(dom, cod, seed=900 + i)
@@ -460,3 +469,72 @@ def test_checks_reach_every_block_and_offset_of_every_axis(arity):
             entries[raised] = "x1"
             table = MappingTable(dom, arity, cod, entries)
             assert (table.is_monotone(), table.is_antitone()) == (False, True), raised
+
+
+# Largest domain per arity for the class-product reference: at most 12, 64
+# and 125 table entries.
+EXTEND_DOMAIN = {1: 12, 2: 8, 3: 5}
+
+
+def _first_difference(got, want):
+    """Where ``extend``'s class mapping ``got`` leaves ``want``'s."""
+    for key, value in want.table.items():
+        if got.table.get(key) != value:
+            return f"class tuple {key}: extend gives {got.table.get(key)}, brute force {value}"
+    return f"same tables, other fields differ: {got[:4]} != {want[:4]}"
+
+
+def _extensions_match_brute(table):
+    """``extend`` equals ``brute_extend`` under every domain direction,
+    codomain direction and mode; returns the class mappings."""
+    extended = []
+    for ddir, cdir, mode in product(DIRECTIONS, DIRECTIONS, MODES):
+        dlin, clin = compute_levels(table.domain, ddir), compute_levels(table.codomain, cdir)
+        got, want = extend(table, dlin, clin, mode), brute_extend(table, dlin, clin, mode)
+        assert got == want, (ddir, cdir, mode, _first_difference(got, want))
+        extended.append(got)
+    return extended
+
+
+def _swapped(cm, i, j):
+    """``cm``'s table with arguments ``i`` and ``j`` exchanged."""
+    def swap(key):
+        key = list(key)
+        key[i], key[j] = key[j], key[i]
+        return tuple(key)
+
+    return {swap(key): value for key, value in cm.table.items()}
+
+
+def test_extend_matches_the_class_product_reference():
+    asymmetric = set()
+    for i in range(120):
+        arity = 1 + i % 3
+        dom = random_poset(8000 + i, 2 + i % (EXTEND_DOMAIN[arity] - 1), EDGE_PROBS[i % 5])
+        cod = random_poset(8500 + i, 1 + i % 6, EDGE_PROBS[(i // 5) % 5])
+        for table in (
+            random_table(dom, cod, seed=i, arity=arity),
+            random_monotone_table(dom, cod, seed=i, arity=arity),
+        ):
+            for cm in _extensions_match_brute(table):
+                for axes in ((0, 1), (arity - 2, arity - 1)):
+                    if arity > 1 and _swapped(cm, *axes) != cm.table:
+                        asymmetric.add((arity, axes))
+    # the sweep can see the order of the arguments on every axis pair checked
+    assert asymmetric == {(2, (0, 1)), (3, (0, 1)), (3, (1, 2))}
+
+
+@settings(max_examples=150)
+@given(
+    arity=st.integers(1, 3),
+    seed=st.integers(0, 2**32),
+    probs=st.tuples(st.sampled_from(EDGE_PROBS), st.sampled_from(EDGE_PROBS)),
+    data=st.data(),
+)
+def test_extend_matches_the_class_product_reference_on_drawn_tables(arity, seed, probs, data):
+    dom = random_poset(seed, data.draw(st.integers(1, EXTEND_DOMAIN[arity])), probs[0])
+    cod = random_poset(seed + 1, data.draw(st.integers(1, 6)), probs[1])
+    keys = list(product(dom.elements, repeat=arity))
+    images = st.sampled_from(cod.elements)
+    images = data.draw(st.lists(images, min_size=len(keys), max_size=len(keys)))
+    _extensions_match_brute(MappingTable(dom, arity, cod, dict(zip(keys, images))))

@@ -1,6 +1,7 @@
 """Brute-force references and the seeded poset generator."""
 
 import gc
+from itertools import product
 
 import pytest
 
@@ -10,7 +11,9 @@ from posetlin import (
     PRIMAL,
     CycleError,
     EmptyPosetError,
+    MappingTable,
     TooLargeError,
+    brute_extend,
     brute_levels,
     brute_order,
     brute_preserves,
@@ -99,6 +102,31 @@ def test_brute_preserves_cap():
     table = {(i,): 0 for i in range(4097)}
     with pytest.raises(TooLargeError):
         brute_preserves(table, lambda i, j: i <= j, lambda u, v: u <= v)
+
+
+def test_brute_extend_on_the_worked_example(abc_lattice):
+    # f sends bot to bot, c to c and the rest to top; primal classes, least
+    # first: [bot], [a], [b, c], [top], so the class of b and c meets top and c
+    f = {("bot",): "bot", ("a",): "top", ("b",): "top", ("c",): "c", ("top",): "top"}
+    table = MappingTable(abc_lattice, 1, abc_lattice, f)
+    lin = compute_levels(abc_lattice, PRIMAL)
+    over = brute_extend(table, lin, lin, "over")
+    under = brute_extend(table, lin, lin, "under")
+    bc = lin.class_of["b"]
+    assert (over(bc), under(bc)) == (lin.class_of["top"], lin.class_of["c"])
+    assert over.mode == "over" and over.arity == 1
+
+
+def test_brute_extend_guards(abc_lattice):
+    lin = compute_levels(abc_lattice, PRIMAL)
+    table = MappingTable(abc_lattice, 1, abc_lattice, {(x,): x for x in abc_lattice.elements})
+    with pytest.raises(ValueError, match="mode"):
+        brute_extend(table, lin, lin, "sideways")
+    # 5 ** 5 = 3125 entries are within the cap, 5 ** 6 = 15625 are not
+    keys = product(abc_lattice.elements, repeat=6)
+    big = MappingTable(abc_lattice, 6, abc_lattice, dict.fromkeys(keys, "bot"))
+    with pytest.raises(TooLargeError, match="4096"):
+        brute_extend(big, lin, lin, "over")
 
 
 def test_brute_order_on_the_worked_example(abc_lattice):

@@ -421,3 +421,49 @@ def test_named_shapes_include_lattices_and_non_lattices():
     assert verdicts["grid5x5"] and verdicts["boolean3"] and verdicts["chain20"]
     assert not verdicts["grid5x5-top"] and not verdicts["boolean3-bottom"]
     assert not verdicts["chain20-doubled-top"]
+
+
+@st.composite
+def posets_with_a_top_and_a_bottom(draw):
+    """A drawn DAG on up to 8 elements between an added top and bottom, all
+    declared in a drawn order, so any row may be the last one with a later
+    incomparable element.  A drawn prefix is a chain, so rows get skipped,
+    and the first four elements may form a bowtie (two below two), the
+    smallest shape with a top and a bottom that is not a lattice."""
+    n = draw(st.integers(0, 8))
+    names = [f"n{i}" for i in range(n)]
+    index = st.integers(0, max(n - 1, 0))
+    drawn = draw(st.lists(st.tuples(index, index), max_size=12))
+    pairs = [(names[i], names[j]) for i, j in drawn if i < j]
+    pairs += list(zip(names, names[1 : draw(st.integers(0, n))]))
+    if n >= 4 and draw(st.booleans()):
+        pairs += [(names[i], names[j]) for i in (0, 1) for j in (2, 3)]
+    pairs += [("bot", x) for x in names] + [(x, "top") for x in names] + [("bot", "top")]
+    order = draw(st.permutations(names + ["bot", "top"]))
+    return build_poset(order, pairs)
+
+
+@settings(max_examples=300)
+@given(posets_with_a_top_and_a_bottom())
+def test_is_lattice_matches_bruteforce_on_drawn_posets_with_a_top_and_a_bottom(p):
+    assert p.is_lattice() == is_lattice_bruteforce(p)
+
+
+def _chain_around(n, middle, pairs):
+    """A chain of ``n`` elements with ``middle`` inserted between its two
+    halves, ordered among themselves by ``pairs``."""
+    low = [f"x{i}" for i in range(n // 2)]
+    high = [f"x{i}" for i in range(n // 2, n)]
+    steps = list(zip(low, low[1:])) + list(zip(high, high[1:])) + list(pairs)
+    steps += [(low[-1], m) for m in middle] + [(m, high[0]) for m in middle]
+    return build_poset(low + list(middle) + high, steps)
+
+
+def test_is_lattice_on_long_chains_around_a_diamond_and_a_bowtie():
+    # almost every row has no later incomparable element and is skipped;
+    # the few that are not decide the answer
+    assert chain(3000).is_lattice()
+    assert _chain_around(3000, ["a", "b"], []).is_lattice()
+    bowtie = [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")]
+    assert not _chain_around(3000, ["a", "b", "c", "d"], bowtie).is_lattice()
+    assert not _doubled_top(3000).is_lattice()
