@@ -124,7 +124,7 @@ def _cmd_witness(args):
     if args.json:
         payload = {
             "case": witness.case,
-            "pair": list(witness.pair),
+            "pair": witness.pair,
             "map": {x: witness.witness_map(x) for x in p.elements},
             "violation": witness.violation,
         }

@@ -41,7 +41,7 @@ from math import lcm
 
 from .errors import EmptyInputError, ParseError
 from .levels import PRIMAL, Linearisation, _check_direction
-from .mappings import ClassMapping, MappingTable
+from .mappings import ClassMapping, MappingTable, _check_size
 from .poset import build_poset
 
 _MAX_EXPONENT = 4300  # the int digit limit; Fraction("1e10000000") takes seconds
@@ -109,6 +109,7 @@ def parse_mapping(text, domain, codomain):
         raise ParseError(f"arity is not an integer: {fields[1]!r}", lineno) from None
     if arity < 1:
         raise ParseError(f"arity must be positive, got {arity}", lineno)
+    _check_size(len(domain), arity)  # before any row is read
     entries = {}
     for lineno, raw in rows:
         fields = (raw.split("#", 1)[0] if "#" in raw else raw).split()
@@ -287,13 +288,7 @@ def emit_json(value):
         payload = {
             "direction": value.direction,
             "k": value.k,
-            "groups": [
-                {
-                    "items": list(g.items),
-                    "intervals": [[lo, hi] for lo, hi in g.intervals],
-                }
-                for g in value.groups
-            ],
+            "groups": [{"items": g.items, "intervals": g.intervals} for g in value.groups],
         }
     else:
         raise TypeError(f"cannot emit {type(value).__name__} as JSON")

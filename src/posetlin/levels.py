@@ -83,7 +83,7 @@ def compute_levels(p, direction=PRIMAL):
     _check_direction(direction)
     if len(p) == 0:
         raise EmptyPosetError("cannot linearise an empty poset")
-    layer, _ = p._layers(direction == PRIMAL)
+    layer = p._layers(direction == PRIMAL)
     bins = [[] for _ in range(1 + max(layer))]
     for x, k in zip(p.elements, layer):
         bins[k].append(x)
@@ -102,12 +102,12 @@ def satisfies_elcc(p):
     """
     if len(p) == 0:
         raise EmptyPosetError("cannot linearise an empty poset")
-    grade, cover_down = p._layers(False)
+    grade = p._layers(False)
     rows = [0] * (1 + max(grade))
     for i, g in enumerate(grade):
         rows[g] |= 1 << i
     non_maximal = 0
-    for g, below in zip(grade, cover_down):
+    for g, below in zip(grade, p._cover_down):
         # grade 0 elements are minimal, so ``below`` is empty for them
         if below & ~rows[g - 1]:
             return False
@@ -129,6 +129,6 @@ def linearisations_equivalent(p):
     """
     if len(p) == 0:
         raise EmptyPosetError("cannot linearise an empty poset")
-    (up, _), (down, _) = p._layers(True), p._layers(False)
+    up, down = p._layers(True), p._layers(False)
     k = 1 + max(down)
     return all(u + d == k - 1 for u, d in zip(up, down))

@@ -68,16 +68,14 @@ def _ranks(lin):
     return list(map(lin.rank, range(lin.num_classes)))
 
 
-def _exceeds(base, exponent, bound):
-    """True iff ``base ** exponent > bound``, without forming a power beyond ``bound``."""
-    if base < 2:
-        return base > bound
-    power = 1
-    for _ in range(exponent):
-        power *= base
-        if power > bound:
-            return True
-    return False
+def _check_size(n, arity):
+    """Raise ``TooLargeError`` iff ``n ** arity > MAX_TABLE_ENTRIES``.  Clipping the
+    exponent at the cap's bit length is exact: past it, every ``n >= 2`` is over."""
+    if n ** min(arity, MAX_TABLE_ENTRIES.bit_length()) > MAX_TABLE_ENTRIES:
+        raise TooLargeError(
+            f"mapping table of arity {arity} over {n} domain elements "
+            f"exceeds the cap of {MAX_TABLE_ENTRIES} entries"
+        )
 
 
 class MappingTable:
@@ -96,11 +94,7 @@ class MappingTable:
         if arity < 1:
             raise ValueError(f"arity must be at least 1, got {arity}")
         n = len(domain)
-        if _exceeds(n, arity, MAX_TABLE_ENTRIES):
-            raise TooLargeError(
-                f"mapping table of arity {arity} over {n} domain elements "
-                f"exceeds the cap of {MAX_TABLE_ENTRIES} entries"
-            )
+        _check_size(n, arity)
         pos, cpos = domain._pos, codomain._pos
         values = [None] * n**arity
         for key, value in table.items():

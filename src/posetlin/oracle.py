@@ -61,36 +61,25 @@ class SplitMix64:
 def brute_levels(p, direction=PRIMAL):
     """Level decomposition computed literally from its definition.
 
-    Each round scans all unassigned elements and keeps those with no strictly
-    greater (primal) or strictly smaller (dual) unassigned element.  Output
-    equals ``compute_levels(p, direction)`` exactly.
+    Each round keeps, in declaration order, the unassigned elements whose
+    strict up-set (primal) or down-set (dual) is disjoint from the unassigned
+    remainder.  Output equals ``compute_levels(p, direction)`` exactly.
     """
     _check_direction(direction)
     if len(p) == 0:
         raise EmptyPosetError("cannot linearise an empty poset")
     if len(p) > MAX_BRUTE_LEVELS:
         raise TooLargeError(f"brute_levels is capped at {MAX_BRUTE_LEVELS} elements")
-    if direction == PRIMAL:
-        def blocks(x, y):
-            return p.lt(x, y)
-    else:
-        def blocks(x, y):
-            return p.lt(y, x)
-    assigned = set()
+    strict = {x: p.above(x) if direction == PRIMAL else p.below(x) for x in p.elements}
+    left = list(p.elements)
     levels = []
-    while len(assigned) < len(p):
-        level = frozenset(
-            x
-            for x in p.elements
-            if x not in assigned
-            and not any(
-                blocks(x, y) for y in p.elements if y not in assigned and y != x
-            )
-        )
+    while left:
+        remainder = set(left)
+        level = frozenset(x for x in left if strict[x].isdisjoint(remainder))
         if not level:
             raise RuntimeError("level construction stalled on a non-empty remainder")
         levels.append(level)
-        assigned |= level
+        left = [x for x in left if x not in level]
     class_of = {x: i for i, level in enumerate(levels) for x in level}
     return Linearisation(p, direction, tuple(levels), class_of)
 

@@ -149,9 +149,9 @@ class Poset:
         return sum(map(int.bit_count, self._up)), sum(map(int.bit_count, self._cover_up))
 
     def _layers(self, upward):
-        """Package-internal ``(layer, covers)``: ``layer[i]`` counts the cover
-        steps of the longest walk from element ``i`` up to a maximal element
-        (``upward``) or down to a minimal one, along the bitsets ``covers``."""
+        """Package-internal: ``layer[i]`` counts the cover steps of the longest
+        walk from element ``i`` up to a maximal element (``upward``) or down
+        to a minimal one."""
         covers = self._cover_up if upward else self._cover_down
         order = reversed(self._order) if upward else self._order
         layer = [0] * len(covers)
@@ -164,7 +164,7 @@ class Poset:
                     top = k
                 bits ^= low
             layer[i] = top + 1
-        return layer, covers
+        return layer
 
     def _pairs(self, rows):
         names = self.elements
@@ -245,8 +245,7 @@ class Poset:
         """Maximum number of elements in a chain, via longest-path DP on covers."""
         if not self.elements:
             return 0
-        layer, _ = self._layers(False)
-        return 1 + max(layer)
+        return 1 + max(self._layers(False))
 
     def _bound(self, x, y, sets):
         """The element whose reflexive set in ``sets`` is the intersection of

@@ -1,24 +1,42 @@
 """Shared builders for the test suite: canned posets, seeded corpora,
 constructive generators for monotone and antitone tables, reference
-readers for the file formats, one logical line at a time, and the CLI's
-earlier dispatch and file reader."""
+readers for the file formats, one logical line at a time, the CLI's
+earlier dispatch and file reader, and the earlier pairwise form of
+``brute_levels``."""
 
 import sys
 from fractions import Fraction
 from itertools import product
 
 from posetlin import (
+    PRIMAL,
+    EmptyPosetError,
+    Linearisation,
     MappingTable,
     ParseError,
     PosetlinError,
     ScoredItem,
     SplitMix64,
+    TooLargeError,
     build_poset,
     cli,
     random_poset,
 )
+from posetlin.levels import _check_direction
+from posetlin.oracle import MAX_BRUTE_LEVELS
 
 EDGE_PROBS = (0.0, 0.1, 0.3, 0.7, 1.0)
+
+# (domain size, arity) on either side of the 10**6-entry table cap
+CAP_ADMITTED = ((1000, 2), (100, 3), (2, 19), (1, 1000), (0, 5))
+CAP_REJECTED = ((1001, 2), (101, 3), (2, 20))
+
+
+def cap_message(n, arity):
+    return (
+        f"mapping table of arity {arity} over {n} domain elements "
+        "exceeds the cap of 1000000 entries"
+    )
 
 
 def chain(n, prefix="x"):
@@ -324,3 +342,36 @@ def read_text_mode(path):
     """The CLI's file reader in text mode, with universal newlines."""
     with open(path, encoding="utf-8") as handle:
         return handle.read()
+
+
+def brute_levels_pairwise(p, direction=PRIMAL):
+    """``oracle.brute_levels`` as it was first written: each round tests every
+    pair of unassigned elements with ``p.lt``, scanning in declaration order."""
+    _check_direction(direction)
+    if len(p) == 0:
+        raise EmptyPosetError("cannot linearise an empty poset")
+    if len(p) > MAX_BRUTE_LEVELS:
+        raise TooLargeError(f"brute_levels is capped at {MAX_BRUTE_LEVELS} elements")
+    if direction == PRIMAL:
+        def blocks(x, y):
+            return p.lt(x, y)
+    else:
+        def blocks(x, y):
+            return p.lt(y, x)
+    assigned = set()
+    levels = []
+    while len(assigned) < len(p):
+        level = frozenset(
+            x
+            for x in p.elements
+            if x not in assigned
+            and not any(
+                blocks(x, y) for y in p.elements if y not in assigned and y != x
+            )
+        )
+        if not level:
+            raise RuntimeError("level construction stalled on a non-empty remainder")
+        levels.append(level)
+        assigned |= level
+    class_of = {x: i for i, level in enumerate(levels) for x in level}
+    return Linearisation(p, direction, tuple(levels), class_of)

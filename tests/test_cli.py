@@ -337,6 +337,23 @@ def test_oversized_mapping_is_rejected(files, capsys, tmp_path):
     )
 
 
+def test_over_cap_mapping_header_is_rejected_before_its_rows(files, capsys):
+    # the cap is decided from the header, so the malformed rows after it are never read
+    three = files("three.poset", "elem x\nelem y\nelem z\n")
+    for arity in (20, 20000):
+        hostile = files("hostile.map", f"arity {arity}\nx -> y\nnot a row\n")
+        code, out, err = run(capsys, "extend", three, three, hostile, "--mode", "over")
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: mapping table of arity {arity} over 3 domain elements "
+            "exceeds the cap of 1000000 entries\n"
+        )
+    under = files("under.map", "arity 12\nx -> y\n")  # 3 ** 12 entries are within the cap
+    code, out, err = run(capsys, "extend", three, three, under, "--mode", "over")
+    assert (code, out) == (2, "")
+    assert "line 2" in err
+
+
 def _fresh_process(argv, env):
     done = subprocess.run(
         [sys.executable, "-m", "posetlin", *argv],

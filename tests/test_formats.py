@@ -16,6 +16,7 @@ from posetlin import (
     CycleError,
     DuplicateElementError,
     EmptyInputError,
+    MappingTable,
     MissingTupleError,
     ParseError,
     ScoredItem,
@@ -36,7 +37,11 @@ from posetlin import (
     render_poset,
 )
 from helpers import (
+    CAP_ADMITTED,
+    CAP_REJECTED,
     abc_poset,
+    antichain,
+    cap_message,
     corpus,
     diamond_poset,
     parse_mapping_lines,
@@ -806,3 +811,33 @@ def test_emit_json_for_rankings():
 def test_emit_json_rejects_other_values():
     with pytest.raises(TypeError):
         emit_json({"not": "supported"})
+
+
+@pytest.mark.parametrize("n, arity", CAP_ADMITTED)
+def test_parse_mapping_admits_the_cap_boundary(n, arity):
+    p = antichain(n)
+    if n == 0:
+        assert parse_mapping(f"arity {arity}\n", p, p) == MappingTable(p, arity, p, {})
+    else:
+        with pytest.raises(MissingTupleError):
+            parse_mapping(f"arity {arity}\n", p, p)
+
+
+@pytest.mark.parametrize("n, arity", CAP_REJECTED)
+def test_parse_mapping_rejects_just_past_the_cap_boundary(n, arity):
+    p = antichain(n)
+    with pytest.raises(TooLargeError) as caught:
+        parse_mapping(f"arity {arity}\n", p, p)
+    assert str(caught.value) == cap_message(n, arity)
+
+
+def test_parse_mapping_decides_the_cap_before_reading_any_row():
+    # each row below is a parse error if read: too short, conflicting, no arrow
+    p = antichain(3)
+    row = " ".join(["x0"] * 20)
+    text = f"arity 20\nx0 -> x0\n{row} -> x0\n{row} -> x1\n{row} x2\n"
+    with pytest.raises(TooLargeError) as caught:
+        parse_mapping(text, p, p)
+    assert str(caught.value) == cap_message(3, 20)
+    with pytest.raises(ParseError, match="line 2"):  # 3 ** 12 entries are within the cap
+        parse_mapping(text.replace("arity 20", "arity 12"), p, p)

@@ -32,8 +32,11 @@ from posetlin import (
 )
 from posetlin.mappings import MODES
 from helpers import (
+    CAP_ADMITTED,
+    CAP_REJECTED,
     EDGE_PROBS,
     antichain,
+    cap_message,
     chain,
     corpus,
     grid_poset,
@@ -100,6 +103,24 @@ def test_table_entry_cap(abc_lattice):
     # three-million-character message
     with pytest.raises(TooLargeError, match="exceeds the cap of 1000000 entries"):
         MappingTable(p, 10**6, p, {})
+
+
+@pytest.mark.parametrize("n, arity", CAP_ADMITTED)
+def test_table_cap_admits_its_boundary(n, arity):
+    p = antichain(n)
+    if n == 0:
+        assert repr(MappingTable(p, arity, p, {})) == f"MappingTable(arity={arity}, 0 entries)"
+    else:
+        with pytest.raises(MissingTupleError):
+            MappingTable(p, arity, p, {})
+
+
+@pytest.mark.parametrize("n, arity", CAP_REJECTED)
+def test_table_cap_rejects_just_past_its_boundary(n, arity):
+    p = antichain(n)
+    with pytest.raises(TooLargeError) as caught:
+        MappingTable(p, arity, p, {})
+    assert str(caught.value) == cap_message(n, arity)
 
 
 def test_monotonicity_of_the_worked_examples(abc_lattice):

@@ -4,6 +4,8 @@ import gc
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posetlin import (
     DUAL,
@@ -25,7 +27,7 @@ from posetlin import (
     parse_scores,
     random_poset,
 )
-from helpers import antichain, chain, corpus
+from helpers import antichain, brute_levels_pairwise, chain, corpus, corpus_params
 
 
 def test_brute_levels_on_the_worked_example(abc_lattice):
@@ -55,6 +57,44 @@ def test_brute_levels_agrees_with_compute_levels_everywhere():
     for p in corpus(250):
         for direction in (PRIMAL, DUAL):
             assert brute_levels(p, direction) == compute_levels(p, direction)
+
+
+def _assert_same_as_pairwise(p):
+    for direction in (PRIMAL, DUAL):
+        got, want = brute_levels(p, direction), brute_levels_pairwise(p, direction)
+        assert got == want
+        # equal frozensets built in the same order print alike
+        assert repr(got) == repr(want)
+
+
+def test_brute_levels_matches_its_pairwise_form_on_the_criterion_4_corpus():
+    for seed, size, prob in corpus_params(1000):
+        _assert_same_as_pairwise(random_poset(seed, size, prob))
+
+
+@st.composite
+def drawn_posets(draw, max_size=24):
+    """Posets on up to ``max_size`` elements in a drawn declaration order,
+    with generating pairs drawn along a hidden height."""
+    n = draw(st.integers(1, max_size))
+    names = [f"e{i}" for i in draw(st.permutations(range(n)))]
+    index = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(index, index), max_size=3 * n))
+    return build_poset(names, [(f"e{i}", f"e{j}") for i, j in pairs if i < j])
+
+
+@settings(max_examples=150)
+@given(drawn_posets())
+def test_brute_levels_matches_its_pairwise_form_on_drawn_posets(p):
+    _assert_same_as_pairwise(p)
+
+
+def test_brute_levels_matches_its_pairwise_form_at_the_cap():
+    _assert_same_as_pairwise(antichain(64))
+    _assert_same_as_pairwise(chain(64))
+    names = [f"e{i}" for i in range(64)]
+    wide = [(names[i], names[j]) for i in range(64) for j in range(i + 1, 64) if (i ^ j) % 5 == 1]
+    _assert_same_as_pairwise(build_poset(names[::-1], wide))
 
 
 def test_maximal_chain_enumeration(abc_lattice, diamond):
