@@ -109,12 +109,13 @@ def _cmd_extend(args):
         print(f"mode: {cm.mode}")
         domain_classes = domain_lin.classes_ascending()
         codomain_classes = codomain_lin.classes_ascending()
-        for key, value in cm.ranked_table().items():
+        entries, monotone, antitone = cm._report()
+        for key, value in entries:
             src = " x ".join("[" + " ".join(domain_classes[r]) + "]" for r in key)
             dst = "[" + " ".join(codomain_classes[value]) + "]"
             print(f"{src} -> {dst}")
-        print(f"monotone: {cm.is_monotone()}")
-        print(f"antitone: {cm.is_antitone()}")
+        print(f"monotone: {monotone}")
+        print(f"antitone: {antitone}")
 
 
 def _cmd_witness(args):

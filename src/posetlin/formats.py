@@ -37,9 +37,10 @@ import json
 from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 
-from .errors import EmptyInputError, ParseError
+from .errors import EmptyInputError, ParseError, UnknownElementError
 from .levels import PRIMAL, Linearisation, _check_direction
 from .mappings import ClassMapping, MappingTable, _check_size
 from .poset import build_poset
@@ -92,26 +93,51 @@ def render_poset(p):
     return "\n".join(lines) + "\n"
 
 
+def _first_fields(text):
+    """Line number and fields of the first logical line, or None.  It reads
+    growing prefixes, so the cost follows the line's position, not the file."""
+    size = 256
+    while True:
+        lines = text[:size].splitlines()
+        whole = size >= len(text)
+        if not whole:
+            del lines[-1]  # it may be cut short, or be ended by a "\r" of a "\r\n"
+        for lineno, raw in enumerate(lines, start=1):
+            fields = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+            if fields:
+                return lineno, fields
+        if whole:
+            return None
+        size *= 4
+
+
 def parse_mapping(text, domain, codomain):
-    """Parse a mapping file into a total mapping table between two posets."""
-    rows = enumerate(text.splitlines(), start=1)
-    for lineno, raw in rows:
-        fields = (raw.split("#", 1)[0] if "#" in raw else raw).split()
-        if fields:
-            break
-    else:
+    """Parse a mapping file into a total mapping table between two posets.
+
+    Each row goes straight into its slot of the table's flat list.  Errors
+    come in this order: a malformed or conflicting row, at its line; the
+    first row naming an unknown element (its domain names before its value);
+    the first missing tuple.
+    """
+    header = _first_fields(text)
+    if header is None:
         raise ParseError("empty mapping file", 1)
+    start, fields = header
     if len(fields) != 2 or fields[0] != "arity":
-        raise ParseError("expected header 'arity N'", lineno)
+        raise ParseError("expected header 'arity N'", start)
     try:
         arity = int(fields[1])
     except ValueError:
-        raise ParseError(f"arity is not an integer: {fields[1]!r}", lineno) from None
+        raise ParseError(f"arity is not an integer: {fields[1]!r}", start) from None
     if arity < 1:
-        raise ParseError(f"arity must be positive, got {arity}", lineno)
-    _check_size(len(domain), arity)  # before any row is read
-    entries = {}
-    for lineno, raw in rows:
+        raise ParseError(f"arity must be positive, got {arity}", start)
+    n = len(domain)
+    _check_size(n, arity)  # before any row is read
+    pos, cpos = domain._pos, codomain._pos
+    values = [None] * n**arity
+    unknown = None  # the error naming the first unknown name, raised after the last row
+    strays = {}  # value of each tuple naming an unknown domain element
+    for lineno, raw in enumerate(islice(text.splitlines(), start, None), start + 1):
         fields = (raw.split("#", 1)[0] if "#" in raw else raw).split()
         if not fields:
             continue
@@ -119,13 +145,33 @@ def parse_mapping(text, domain, codomain):
             raise ParseError(
                 f"expected {arity} argument(s), '->' and a value", lineno
             )
-        key = tuple(fields[:arity])
-        value = fields[arity + 1]
-        if entries.setdefault(key, value) != value:
-            raise ParseError(
-                f"conflicting rows for tuple ({', '.join(key)})", lineno
-            )
-    return MappingTable(domain, arity, codomain, entries)
+        key, value = fields[:arity], fields[-1]
+        try:
+            slot = 0
+            for x in key:
+                slot = slot * n + pos[x]
+            v = cpos[value]
+        except KeyError:
+            stray = next((x for x in key if x not in pos), None)
+            if stray is not None:
+                if strays.setdefault(tuple(key), value) != value:
+                    raise ParseError(
+                        f"conflicting rows for tuple ({', '.join(key)})", lineno
+                    ) from None
+                if unknown is None:
+                    unknown = UnknownElementError(f"unknown domain element {stray!r}")
+                continue
+            if unknown is None:
+                unknown = UnknownElementError(f"unknown codomain element {value!r}")
+            v = value  # by name, so that a row giving the tuple another value conflicts
+        old = values[slot]
+        if old is None:
+            values[slot] = v
+        elif old != v:
+            raise ParseError(f"conflicting rows for tuple ({', '.join(key)})", lineno)
+    if unknown is not None:
+        raise unknown
+    return MappingTable(domain, arity, codomain, None, _values=values)
 
 
 class ScoredItem(namedtuple("ScoredItem", "item lo hi lo_text hi_text")):
@@ -275,14 +321,15 @@ def emit_json(value):
         payload = {"direction": value.direction, "classes": value.classes_ascending()}
     elif isinstance(value, ClassMapping):
         dom, cod = value.domain_lin, value.codomain_lin
+        entries, monotone, antitone = value._report()
         payload = {
             "mode": value.mode,
             "arity": value.arity,
             "domain": {"direction": dom.direction, "classes": dom.classes_ascending()},
             "codomain": {"direction": cod.direction, "classes": cod.classes_ascending()},
-            "entries": list(value.ranked_table().items()),
-            "monotone": value.is_monotone(),
-            "antitone": value.is_antitone(),
+            "entries": list(entries),
+            "monotone": monotone,
+            "antitone": antitone,
         }
     elif isinstance(value, Ranking):
         payload = {

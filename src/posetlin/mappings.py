@@ -30,19 +30,20 @@ MODES = (MODE_OVER, MODE_UNDER)
 MAX_TABLE_ENTRIES = 10**6
 
 
-def _preserves(values, n, arity, covers, ok):
-    """True iff ``u == v or ok[u] >> v & 1`` for the values of all slots ``xs <= ys``.
+def _cover_pairs(values, n, arity, covers):
+    """Distinct ``(values[xs], values[ys])`` over the cover steps ``xs -> ys``.
 
     ``values`` holds one value per tuple over ``range(n)``, in mixed radix
     with the first argument most significant; ``covers`` lists ``(x, ys)``
-    with ``ys`` the upper covers of ``x``; ``ok[u]`` is the bitset of values
-    allowed above ``u`` besides ``u``, a strict order.  Only cover steps are
-    checked: every ``xs <= ys`` is a chain of them.  Per axis, the slots
-    with digit ``x`` and with digit ``y`` come as whole slices (one extended
-    slice per offset below the stride, or one plain slice per block,
-    whichever is fewer), and each distinct value pair is tested once.
+    with ``ys`` the upper covers of ``x``.  A cover step raises one argument
+    to an upper cover, and every ``xs <= ys`` is a chain of them.  Per axis,
+    the slots with digit ``x`` and with digit ``y`` come as whole slices (one
+    extended slice per offset below the stride, or one plain slice per
+    block, whichever is fewer).  With c distinct values the set holds at
+    most c² pairs, whatever the table's size.
     """
     total = len(values)
+    pairs = set()
     for axis in range(arity):
         stride = n ** (arity - 1 - axis)
         block = stride * n
@@ -50,7 +51,6 @@ def _preserves(values, n, arity, covers, ok):
             runs = [(j, total, block) for j in range(stride)]
         else:
             runs = [(b, stride, 1) for b in range(0, total, block)]
-        pairs = set()
         for start, span, step in runs:
             for x, ys in covers:
                 lo = start + x * stride
@@ -58,9 +58,13 @@ def _preserves(values, n, arity, covers, ok):
                 for y in ys:
                     hi = start + y * stride
                     pairs.update(zip(below, values[hi : hi + span : step]))
-        if not all(u == v or ok[u] >> v & 1 for u, v in pairs):
-            return False
-    return True
+    return pairs
+
+
+def _holds(pairs, ok):
+    """True iff ``u == v or ok[u] >> v & 1`` for every pair: ``ok[u]`` is the
+    bitset of values allowed above ``u`` besides ``u``, a strict order."""
+    return all(u == v or ok[u] >> v & 1 for u, v in pairs)
 
 
 def _ranks(lin):
@@ -88,29 +92,31 @@ class MappingTable:
     tuple in the order of ``product(domain.elements, repeat=arity)``.
     """
 
-    __slots__ = ("domain", "arity", "codomain", "_values")
+    __slots__ = ("domain", "arity", "codomain", "_values", "_pairs")
 
-    def __init__(self, domain, arity, codomain, table):
+    def __init__(self, domain, arity, codomain, table, *, _values=None):
         if arity < 1:
             raise ValueError(f"arity must be at least 1, got {arity}")
         n = len(domain)
         _check_size(n, arity)
-        pos, cpos = domain._pos, codomain._pos
-        values = [None] * n**arity
-        for key, value in table.items():
-            key = tuple(key)
-            if len(key) != arity:
-                raise ArityMismatchError(
-                    f"tuple {key!r} has {len(key)} components, expected {arity}"
-                )
-            slot = 0
-            for x in key:
-                if x not in pos:
-                    raise UnknownElementError(f"unknown domain element {x!r}")
-                slot = slot * n + pos[x]
-            if value not in cpos:
-                raise UnknownElementError(f"unknown codomain element {value!r}")
-            values[slot] = cpos[value]
+        values = _values  # parse_mapping fills the flat list itself; ``table`` is then unread
+        if values is None:
+            pos, cpos = domain._pos, codomain._pos
+            values = [None] * n**arity
+            for key, value in table.items():
+                key = tuple(key)
+                if len(key) != arity:
+                    raise ArityMismatchError(
+                        f"tuple {key!r} has {len(key)} components, expected {arity}"
+                    )
+                slot = 0
+                for x in key:
+                    if x not in pos:
+                        raise UnknownElementError(f"unknown domain element {x!r}")
+                    slot = slot * n + pos[x]
+                if value not in cpos:
+                    raise UnknownElementError(f"unknown codomain element {value!r}")
+                values[slot] = cpos[value]
         if None in values:
             keys = product(domain.elements, repeat=arity)
             key = next(islice(keys, values.index(None), None))
@@ -119,6 +125,7 @@ class MappingTable:
         self.arity = arity
         self.codomain = codomain
         self._values = values
+        self._pairs = None  # the cover-step value pairs, collected by the first check
 
     @property
     def table(self):
@@ -149,8 +156,10 @@ class MappingTable:
         return f"MappingTable(arity={self.arity}, {len(self._values)} entries)"
 
     def _check(self, ok):
-        covers = [(x, list(_indices(c))) for x, c in enumerate(self.domain._cover_up) if c]
-        return _preserves(self._values, len(self.domain), self.arity, covers, ok)
+        if self._pairs is None:
+            covers = [(x, list(_indices(c))) for x, c in enumerate(self.domain._cover_up) if c]
+            self._pairs = _cover_pairs(self._values, len(self.domain), self.arity, covers)
+        return _holds(self._pairs, ok)
 
     def is_monotone(self):
         """True iff pointwise greater arguments never map to a smaller value."""
@@ -184,18 +193,22 @@ class ClassMapping(namedtuple("ClassMapping", "domain_lin codomain_lin arity mod
         keys = product(range(self.domain_lin.num_classes), repeat=self.arity)
         return dict(zip(keys, self._ranked()))
 
-    def _check(self, ok):
+    def _report(self):
+        """``ranked_table()`` items, ``is_monotone()`` and ``is_antitone()``,
+        from one rank list and one set of cover-step pairs."""
+        ranked, arity = self._ranked(), self.arity
+        m, c = self.domain_lin.num_classes, self.codomain_lin.num_classes
         # the domain side is the chain of ranks, so r + 1 covers r
-        m = self.domain_lin.num_classes
-        covers = [(r, (r + 1,)) for r in range(m - 1)]
-        return _preserves(self._ranked(), m, self.arity, covers, ok)
+        pairs = _cover_pairs(ranked, m, arity, [(r, (r + 1,)) for r in range(m - 1)])
+        monotone = _holds(pairs, [(1 << c) - (2 << u) for u in range(c)])
+        antitone = _holds(pairs, [(1 << u) - 1 for u in range(c)])
+        return zip(product(range(m), repeat=arity), ranked), monotone, antitone
 
     def is_monotone(self):
-        m = self.codomain_lin.num_classes
-        return self._check([(1 << m) - (2 << u) for u in range(m)])
+        return self._report()[1]
 
     def is_antitone(self):
-        return self._check([(1 << u) - 1 for u in range(self.codomain_lin.num_classes)])
+        return self._report()[2]
 
 
 def extend(table, domain_lin, codomain_lin, mode):

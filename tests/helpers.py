@@ -1,8 +1,8 @@
 """Shared builders for the test suite: canned posets, seeded corpora,
 constructive generators for monotone and antitone tables, reference
 readers for the file formats, one logical line at a time, the CLI's
-earlier dispatch and file reader, and the earlier pairwise form of
-``brute_levels``."""
+earlier dispatch and file reader, the earlier pairwise form of
+``brute_levels``, and class-mapping JSON composed from public calls."""
 
 import sys
 from fractions import Fraction
@@ -22,7 +22,9 @@ from posetlin import (
     cli,
     random_poset,
 )
+from posetlin.formats import canonical_json
 from posetlin.levels import _check_direction
+from posetlin.mappings import MAX_TABLE_ENTRIES
 from posetlin.oracle import MAX_BRUTE_LEVELS
 
 EDGE_PROBS = (0.0, 0.1, 0.3, 0.7, 1.0)
@@ -250,6 +252,8 @@ def parse_mapping_lines(text, domain, codomain):
         raise ParseError(f"arity is not an integer: {fields[1]!r}", lineno) from None
     if arity < 1:
         raise ParseError(f"arity must be positive, got {arity}", lineno)
+    if len(domain) ** arity > MAX_TABLE_ENTRIES:  # README: decided before any row is read
+        raise TooLargeError(cap_message(len(domain), arity))
     entries = {}
     for lineno, line in lines[1:]:
         fields = line.split()
@@ -261,6 +265,21 @@ def parse_mapping_lines(text, domain, codomain):
             raise ParseError(f"conflicting rows for tuple ({', '.join(key)})", lineno)
         entries[key] = value
     return MappingTable(domain, arity, codomain, entries)
+
+
+def emit_class_mapping_composed(cm):
+    """``emit_json`` of a class mapping as composed from the public calls
+    ``ranked_table``, ``is_monotone`` and ``is_antitone``."""
+    dom, cod = cm.domain_lin, cm.codomain_lin
+    return canonical_json({
+        "mode": cm.mode,
+        "arity": cm.arity,
+        "domain": {"direction": dom.direction, "classes": dom.classes_ascending()},
+        "codomain": {"direction": cod.direction, "classes": cod.classes_ascending()},
+        "entries": list(cm.ranked_table().items()),
+        "monotone": cm.is_monotone(),
+        "antitone": cm.is_antitone(),
+    })
 
 
 def _score_value(text):

@@ -473,6 +473,24 @@ def test_extend_reports_a_conflict_before_an_earlier_unknown_element(files, caps
     assert (code, out, err) == (2, "", "error: line 5: conflicting rows for tuple (bot)\n")
 
 
+@pytest.mark.parametrize(
+    "rows, code, message",
+    [
+        ("bot -> zz\nbot -> bot\n", 2, "line 3: conflicting rows for tuple (bot)"),
+        ("zz -> bot\na -> top\nzz -> a\n", 2, "line 4: conflicting rows for tuple (zz)"),
+        ("a -> top\nyy -> bot\nbot -> bot\nxx -> bot\n", 1, "unknown domain element 'yy'"),
+        ("bot -> bot\nzz -> a\n", 1, "unknown domain element 'zz'"),
+    ],
+)
+def test_extend_reports_mapping_errors_in_the_documented_order(files, capsys, rows, code, message):
+    # a conflict, also one after an unknown value or between unknown
+    # arguments; else the first unknown name; else the first missing tuple
+    abc = files("abc.poset", ABC_FILE)
+    mapping = files("rows.map", "arity 1\n" + rows)
+    got = run(capsys, "extend", abc, abc, mapping, "--mode", "over")
+    assert got == (code, "", f"error: {message}\n")
+
+
 def test_readme_command_line_block_names_every_subcommand():
     readme = Path(__file__).resolve().parents[1] / "README.md"
     section = readme.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]

@@ -1,6 +1,7 @@
 """File parsing, rendering, ranking, and canonical JSON."""
 
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -345,23 +346,28 @@ COMMENT_LINES = ["", "  ", "# a -> b", "\u3000# 1"]
 @st.composite
 def mapping_files(draw):
     """Mapping files over the small posets: whole tables, then header errors,
-    short rows, conflicts, unknown names on either side, identical duplicate
-    rows, missing rows and blank or comment-only lines."""
+    an over-cap header, short rows, conflicts (also after a row with an
+    unknown value, and between rows with an unknown argument), unknown names
+    on either side, identical duplicate rows, missing rows and blank or
+    comment-only lines."""
     dom = draw(st.sampled_from(sorted(SMALL_POSETS)))
     cod = draw(st.sampled_from(sorted(SMALL_POSETS)))
     domain, codomain = SMALL_POSETS[dom], SMALL_POSETS[cod]
-    arity = draw(st.integers(1, 2))
+    arity = draw(st.integers(1, 3))
     value = st.sampled_from(codomain.elements)
     rows = [f"{' '.join(xs)} -> {draw(value)}" for xs in product(domain.elements, repeat=arity)]
     arg = st.sampled_from(domain.elements)
+    rest = " bot" * (arity - 1)
     spoilers = st.one_of(
-        st.builds(lambda x, y: f"{x}{' bot' * (arity - 1)} -> {y}", arg, value),  # conflicts
-        st.sampled_from([f"zz{' bot' * (arity - 1)} -> bot", f"bot{' bot' * (arity - 1)} -> zz"]),
+        st.builds(lambda x, y: f"{x}{rest} -> {y}", arg, value),  # conflicts
+        st.sampled_from([f"zz{rest} -> bot", f"bot{rest} -> zz"]),
+        st.sampled_from([f"bot{rest} -> zz\nbot{rest} -> bot", f"zz{rest} -> bot\nzz{rest} -> a"]),
         st.sampled_from(["bot ->", "bot bot", f"bot{' bot' * arity} -> bot", "-> bot"]),
         st.sampled_from(COMMENT_LINES),
     )
     header = draw(st.sampled_from(
-        [f"arity {arity}"] * 12 + ["arity x", "arity 0", "arity", f"arity {arity} 1", "", "bot -> bot"]
+        [f"arity {arity}"] * 12
+        + ["arity x", "arity 0", "arity", f"arity {arity} 1", "", "bot -> bot", "arity 20"]
     ))
     lines = [*draw(st.lists(st.sampled_from(COMMENT_LINES), max_size=2)), header]
     if draw(st.integers(0, 9)):
@@ -374,6 +380,82 @@ def mapping_files(draw):
 def test_parse_mapping_matches_the_line_list_reference(drawn):
     text, dom, cod = drawn
     assert_reads_like(parse_mapping, parse_mapping_lines, text, SMALL_POSETS[dom], SMALL_POSETS[cod])
+
+
+@pytest.mark.parametrize(
+    "rows, error, message",
+    [
+        # a row with an unknown value still conflicts with a later row
+        ("bot -> zz\nbot -> bot\n", ParseError, "line 3: conflicting rows for tuple (bot)"),
+        # so do two rows naming the same unknown domain element
+        ("zz -> bot\na -> top\nzz -> a\n", ParseError, "line 4: conflicting rows for tuple (zz)"),
+        # the first unknown name in file order, domain names before the value
+        ("a -> top\nyy -> zz\nbot -> bot\nxx -> bot\n", UnknownElementError,
+         "unknown domain element 'yy'"),
+        ("bot -> ww\nyy -> bot\n", UnknownElementError, "unknown codomain element 'ww'"),
+        # an unknown name before a missing tuple
+        ("bot -> bot\nzz -> a\n", UnknownElementError, "unknown domain element 'zz'"),
+    ],
+)
+def test_parse_mapping_reports_errors_in_the_documented_order(abc_lattice, rows, error, message):
+    with pytest.raises(error) as caught:
+        parse_mapping("arity 1\n" + rows, abc_lattice, abc_lattice)
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+    if error is ParseError:
+        assert caught.value.line == int(message.split()[1].rstrip(":"))
+
+
+# every line boundary of str.splitlines()
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@settings(max_examples=150)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(["", " ", "# c", "\u3000#"]), st.integers(0, 300)), max_size=6
+    ),
+    st.lists(st.sampled_from(LINE_BREAKS), min_size=9, max_size=9),
+    st.sampled_from(["arity x", "arity 1"]),
+)
+def test_parse_mapping_numbers_lines_as_splitlines_does(before, breaks, header):
+    # blank and comment lines of up to 300 padding characters come before the
+    # header, so it may start past any prefix the parser reads first
+    lines = [text + "#" * pad if text else " " * pad for text, pad in before]
+    lines += [header, "bot bot"]  # a malformed row after a valid header
+    text = "".join(line + breaks[i % len(breaks)] for i, line in enumerate(lines))
+    at = text.splitlines().index(header) + 1
+    want = (
+        f"line {at}: arity is not an integer: 'x'"
+        if header == "arity x"
+        else f"line {at + 1}: expected 1 argument(s), '->' and a value"
+    )
+    with pytest.raises(ParseError) as caught:
+        parse_mapping(text, SMALL_POSETS["abc"], SMALL_POSETS["abc"])
+    assert str(caught.value) == want
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS)
+def test_parse_mapping_reads_a_header_cut_by_its_first_prefix(brk):
+    # the header is looked for in the first 256 characters first: put the
+    # header, or the line break before it, across that cut
+    for pad in range(240, 258):
+        text = "#" * pad + brk + "arity 1" + brk + "bot bot"
+        with pytest.raises(ParseError, match="^line 3: expected 1 argument"):
+            parse_mapping(text, SMALL_POSETS["abc"], SMALL_POSETS["abc"])
+
+
+def test_parse_mapping_rejects_an_over_cap_header_without_reading_the_rows():
+    p = antichain(3)
+    text = "arity 20\n" + "x0 -> x0\n" * 200_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLargeError):
+            parse_mapping(text, p, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(text) // 20  # splitting the 1.8 MB of rows would take over 10 MB
 
 
 @st.composite

@@ -25,6 +25,7 @@ from posetlin import (
     brute_preserves,
     build_poset,
     compute_levels,
+    emit_json,
     extend,
     extend_all,
     impossibility_witness,
@@ -39,6 +40,7 @@ from helpers import (
     cap_message,
     chain,
     corpus,
+    emit_class_mapping_composed,
     grid_poset,
     random_antitone_table,
     random_monotone_table,
@@ -527,20 +529,25 @@ def _swapped(cm, i, j):
     return {swap(key): value for key, value in cm.table.items()}
 
 
-def test_extend_matches_the_class_product_reference():
-    asymmetric = set()
+def _sweep_tables():
+    """120 seeded domain/codomain pairs at arity 1-3, with one unconstrained
+    and one monotone table each."""
     for i in range(120):
         arity = 1 + i % 3
         dom = random_poset(8000 + i, 2 + i % (EXTEND_DOMAIN[arity] - 1), EDGE_PROBS[i % 5])
         cod = random_poset(8500 + i, 1 + i % 6, EDGE_PROBS[(i // 5) % 5])
-        for table in (
-            random_table(dom, cod, seed=i, arity=arity),
-            random_monotone_table(dom, cod, seed=i, arity=arity),
-        ):
-            for cm in _extensions_match_brute(table):
-                for axes in ((0, 1), (arity - 2, arity - 1)):
-                    if arity > 1 and _swapped(cm, *axes) != cm.table:
-                        asymmetric.add((arity, axes))
+        yield random_table(dom, cod, seed=i, arity=arity)
+        yield random_monotone_table(dom, cod, seed=i, arity=arity)
+
+
+def test_extend_matches_the_class_product_reference():
+    asymmetric = set()
+    for table in _sweep_tables():
+        arity = table.arity
+        for cm in _extensions_match_brute(table):
+            for axes in ((0, 1), (arity - 2, arity - 1)):
+                if arity > 1 and _swapped(cm, *axes) != cm.table:
+                    asymmetric.add((arity, axes))
     # the sweep can see the order of the arguments on every axis pair checked
     assert asymmetric == {(2, (0, 1)), (3, (0, 1)), (3, (1, 2))}
 
@@ -559,3 +566,38 @@ def test_extend_matches_the_class_product_reference_on_drawn_tables(arity, seed,
     images = st.sampled_from(cod.elements)
     images = data.draw(st.lists(images, min_size=len(keys), max_size=len(keys)))
     _extensions_match_brute(MappingTable(dom, arity, cod, dict(zip(keys, images))))
+
+
+def test_emit_json_equals_its_composition_from_public_calls():
+    # emit_json reads the entries and both flags off one rank list and one
+    # pair set; the public calls compute each alone
+    for table in _sweep_tables():
+        for ddir, cdir, mode in product(DIRECTIONS, DIRECTIONS, MODES):
+            dlin, clin = compute_levels(table.domain, ddir), compute_levels(table.codomain, cdir)
+            cm = extend(table, dlin, clin, mode)
+            assert emit_json(cm) == emit_class_mapping_composed(cm), (ddir, cdir, mode)
+
+
+@settings(max_examples=150)
+@given(
+    arity=st.integers(1, 3),
+    seed=st.integers(0, 2**32),
+    probs=st.tuples(st.sampled_from(EDGE_PROBS), st.sampled_from(EDGE_PROBS)),
+    data=st.data(),
+)
+def test_table_checks_agree_with_the_pairwise_scan_in_either_order(arity, seed, probs, data):
+    # the first check on a table fills the pair set that the second reads
+    dom = random_poset(seed, data.draw(st.integers(1, MAX_DOMAIN[arity])), probs[0])
+    cod = random_poset(seed + 1, data.draw(st.integers(1, 6)), probs[1])
+    keys = list(product(dom.elements, repeat=arity))
+    images = st.sampled_from(cod.elements)
+    entries = dict(zip(keys, data.draw(st.lists(images, min_size=len(keys), max_size=len(keys)))))
+    expected = (
+        brute_preserves(entries, dom.leq, cod.leq),
+        brute_preserves(entries, dom.leq, lambda u, v: cod.leq(v, u)),
+    )
+    first = MappingTable(dom, arity, cod, entries)
+    forward = first.is_monotone(), first.is_antitone()
+    second = MappingTable(dom, arity, cod, entries)
+    backward = second.is_antitone(), second.is_monotone()
+    assert forward == backward[::-1] == expected
