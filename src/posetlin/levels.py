@@ -69,7 +69,7 @@ class Linearisation(namedtuple("Linearisation", "source direction levels class_o
     def classes_ascending(self):
         """Classes as lists, least class first, members in declaration order."""
         ordered = self.levels if self.direction == DUAL else tuple(reversed(self.levels))
-        return [sorted(level, key=self.source.position) for level in ordered]
+        return [sorted(level, key=self.source._pos.__getitem__) for level in ordered]
 
 
 def compute_levels(p, direction=PRIMAL):
@@ -102,12 +102,13 @@ def satisfies_elcc(p):
     """
     if len(p) == 0:
         raise EmptyPosetError("cannot linearise an empty poset")
+    cover_down = p._closure()[3]  # built before ``rows``, so the two peaks do not add
     grade = p._layers(False)
     rows = [0] * (1 + max(grade))
     for i, g in enumerate(grade):
         rows[g] |= 1 << i
     non_maximal = 0
-    for g, below in zip(grade, p._cover_down):
+    for g, below in zip(grade, cover_down):
         # grade 0 elements are minimal, so ``below`` is empty for them
         if below & ~rows[g - 1]:
             return False

@@ -1,11 +1,14 @@
 """Finite posets with a validated strict order and its cover relation.
 
-Elements are numbered 0..n-1 in declaration order.  The order is four lists
-of ``int`` bitsets: bit ``j`` of ``up[i]`` is set iff element ``i`` is
-strictly below element ``j``, ``down`` is the mirror image, and
-``cover_up``/``cover_down`` hold the cover relation (transitive reduction).
-Order queries are bit tests; sets of names are built only at the API edge,
-on each call.  Every derived listing follows declaration order.
+Elements are numbered 0..n-1 in declaration order.  A poset keeps its
+generating pairs as successor and predecessor lists, in one topological
+order; levels and the longest chain walk them in O(n + pairs) steps and no
+bitsets.  The first order query adds the closure, four lists of ``int``
+bitsets: bit ``j`` of ``up[i]`` is set iff element ``i`` is strictly below
+element ``j``, ``down`` is the mirror image, and ``cover_up``/``cover_down``
+hold the cover relation (transitive reduction).  Order queries are bit
+tests; sets of names are built only at the API edge, on each call.  Every
+derived listing follows declaration order.
 """
 
 from .errors import (
@@ -100,20 +103,26 @@ def build_poset(elements, pairs):
         # the elements left unsorted lie on a cycle or downstream of one
         name = next(x for i, x in enumerate(names) if indegree[i] and _on_cycle(i, succ))
         raise CycleError(f"declared pairs create an order cycle through {name!r}")
-    up, cover_up = _closure_and_covers(order, succ)
-    down, cover_down = _closure_and_covers(order[::-1], pred)
-    return Poset(names, pos, order, up, down, cover_up, cover_down)
+    return Poset(names, pos, order, succ, pred)
 
 
 class Poset:
     """Immutable finite poset.  Use :func:`build_poset` to construct one."""
 
-    __slots__ = ("elements", "_pos", "_order", "_up", "_down", "_cover_up", "_cover_down")
+    __slots__ = ("elements", "_pos", "_order", "_succ", "_pred", "_bits")
 
-    def __init__(self, names, pos, order, up, down, cover_up, cover_down):
+    def __init__(self, names, pos, order, succ, pred):
         self.elements = tuple(names)
-        self._pos, self._order = pos, order
-        self._up, self._down, self._cover_up, self._cover_down = up, down, cover_up, cover_down
+        self._pos, self._order, self._succ, self._pred = pos, order, succ, pred
+        self._bits = None
+
+    def _closure(self):
+        """``(up, down, cover_up, cover_down)``, built on the first call."""
+        if self._bits is None:
+            up, cover_up = _closure_and_covers(self._order, self._succ)
+            down, cover_down = _closure_and_covers(self._order[::-1], self._pred)
+            self._bits = up, down, cover_up, cover_down
+        return self._bits
 
     def __len__(self):
         return len(self.elements)
@@ -127,7 +136,9 @@ class Poset:
     def __eq__(self, other):
         if not isinstance(other, Poset):
             return NotImplemented
-        return self.elements == other.elements and self._up == other._up
+        return self is other or (
+            self.elements == other.elements and self._closure()[0] == other._closure()[0]
+        )
 
     def __repr__(self):
         return f"Poset({len(self.elements)} elements, {self._pair_counts()[0]} strict pairs)"
@@ -146,24 +157,19 @@ class Poset:
 
     def _pair_counts(self):
         """Numbers of strict pairs and of cover pairs, package-internal."""
-        return sum(map(int.bit_count, self._up)), sum(map(int.bit_count, self._cover_up))
+        return tuple(sum(map(int.bit_count, rows)) for rows in self._closure()[::2])
 
     def _layers(self, upward):
         """Package-internal: ``layer[i]`` counts the cover steps of the longest
         walk from element ``i`` up to a maximal element (``upward``) or down
-        to a minimal one."""
-        covers = self._cover_up if upward else self._cover_down
-        order = reversed(self._order) if upward else self._order
-        layer = [0] * len(covers)
-        for i in order:
-            bits, top = covers[i], -1
-            while bits:  # top = the greatest layer among i's covers
-                low = bits & -bits
-                k = layer[low.bit_length() - 1]
-                if k > top:
-                    top = k
-                bits ^= low
-            layer[i] = top + 1
+        to a minimal one.  Every cover is a generating pair and every pair a
+        chain of covers, so relaxing the generating lists in topological order
+        finds the same walks, in O(n + pairs) steps and with no closure."""
+        adj = self._succ if upward else self._pred
+        layer = [0] * len(adj)
+        for i in reversed(self._order) if upward else self._order:
+            if adj[i]:
+                layer[i] = 1 + max(map(layer.__getitem__, adj[i]))
         return layer
 
     def _pairs(self, rows):
@@ -173,12 +179,12 @@ class Poset:
     @property
     def strict_pairs(self):
         """All pairs (x, y) with x < y, as a frozenset."""
-        return self._pairs(self._up)
+        return self._pairs(self._closure()[0])
 
     @property
     def cover_pairs(self):
         """All pairs (x, y) with y covering x, as a frozenset."""
-        return self._pairs(self._cover_up)
+        return self._pairs(self._closure()[2])
 
     def _names(self, rows, x):
         """The names of the set bits of ``x``'s row in ``rows``, as a frozenset."""
@@ -186,43 +192,45 @@ class Poset:
 
     def above(self, x):
         """Elements strictly greater than ``x``."""
-        return self._names(self._up, x)
+        return self._names(self._closure()[0], x)
 
     def below(self, x):
         """Elements strictly smaller than ``x``."""
-        return self._names(self._down, x)
+        return self._names(self._closure()[1], x)
 
     def covers_above(self, x):
-        return self._names(self._cover_up, x)
+        return self._names(self._closure()[2], x)
 
     def covers_below(self, x):
-        return self._names(self._cover_down, x)
+        return self._names(self._closure()[3], x)
 
     def lt(self, x, y):
         try:
             i, j = self._pos[x], self._pos[y]
         except KeyError:
             raise self._unknown(x, y) from None
-        return self._up[i] >> j & 1 == 1
+        return self._closure()[0][i] >> j & 1 == 1
 
     def leq(self, x, y):
         try:
             i, j = self._pos[x], self._pos[y]
         except KeyError:
             raise self._unknown(x, y) from None
-        return i == j or self._up[i] >> j & 1 == 1
+        return i == j or self._closure()[0][i] >> j & 1 == 1
 
     def incomparable(self, x, y):
         try:
             i, j = self._pos[x], self._pos[y]
         except KeyError:
             raise self._unknown(x, y) from None
-        return i != j and (self._up[i] | self._down[i]) >> j & 1 == 0
+        up, down = self._closure()[:2]
+        return i != j and (up[i] | down[i]) >> j & 1 == 0
 
     def is_linear(self):
         """True iff every pair of distinct elements is comparable."""
         full = (1 << len(self.elements)) - 1
-        return all(u | d | 1 << i == full for i, (u, d) in enumerate(zip(self._up, self._down)))
+        up, down = self._closure()[:2]
+        return all(u | d | 1 << i == full for i, (u, d) in enumerate(zip(up, down)))
 
     def _extremes(self, subset, sets):
         members = (1 << len(self.elements)) - 1 if subset is None else 0
@@ -236,13 +244,13 @@ class Poset:
 
         Returned in declaration order.
         """
-        return self._extremes(subset, self._up)
+        return self._extremes(subset, self._closure()[0])
 
     def minimal_elements(self, subset=None):
-        return self._extremes(subset, self._down)
+        return self._extremes(subset, self._closure()[1])
 
     def longest_chain_length(self):
-        """Maximum number of elements in a chain, via longest-path DP on covers."""
+        """Maximum number of elements in a chain, via longest-path DP on the generating pairs."""
         if not self.elements:
             return 0
         return 1 + max(self._layers(False))
@@ -265,7 +273,7 @@ class Poset:
         A finite poset with a greatest element in which every pair has a meet
         is a lattice (Davey & Priestley), so joins are not searched.
         """
-        up, down = self._up, self._down
+        up, down = self._closure()[:2]
         if sum(not s for s in up) > 1 or sum(not s for s in down) > 1:  # no join or no meet
             return False
         full = (1 << len(up)) - 1
@@ -278,14 +286,14 @@ class Poset:
 
     def sup(self, x, y):
         """Least upper bound of ``{x, y}``; raises ``NotALatticeError`` if absent."""
-        bound = self._bound(x, y, self._up)
+        bound = self._bound(x, y, self._closure()[0])
         if bound is None:
             raise NotALatticeError(f"no least upper bound for {x!r} and {y!r}")
         return bound
 
     def inf(self, x, y):
         """Greatest lower bound of ``{x, y}``; raises ``NotALatticeError`` if absent."""
-        bound = self._bound(x, y, self._down)
+        bound = self._bound(x, y, self._closure()[1])
         if bound is None:
             raise NotALatticeError(f"no greatest lower bound for {x!r} and {y!r}")
         return bound

@@ -2,7 +2,8 @@
 constructive generators for monotone and antitone tables, reference
 readers for the file formats, one logical line at a time, the CLI's
 earlier dispatch and file reader, the earlier pairwise form of
-``brute_levels``, and class-mapping JSON composed from public calls."""
+``brute_levels``, longest cover walks from a list of covers, and
+class-mapping JSON composed from public calls."""
 
 import sys
 from fractions import Fraction
@@ -175,6 +176,22 @@ def random_table(domain, codomain, seed, arity=1):
             for key in product(domain.elements, repeat=arity)
         },
     )
+
+
+def cover_walk_layers(elements, covers, upward):
+    """``layer[i]`` counts the cover steps of the longest walk from the i-th
+    element up to a maximal one (``upward``) or down to a minimal one.  Each
+    round relaxes every cover, in no particular order, until none changes."""
+    index = {x: i for i, x in enumerate(elements)}
+    steps = [(index[x], index[y]) if upward else (index[y], index[x]) for x, y in covers]
+    layer = [0] * len(index)
+    changed = True
+    while changed:
+        changed = False
+        for i, j in steps:
+            if layer[i] <= layer[j]:
+                layer[i], changed = layer[j] + 1, True
+    return layer
 
 
 def bounds_bruteforce(p, x, y):

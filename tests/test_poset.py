@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import posetlin.poset
 from posetlin import (
+    DUAL,
+    PRIMAL,
     ArityMismatchError,
     CycleError,
     DuplicateElementError,
@@ -15,16 +18,26 @@ from posetlin import (
     UnknownElementError,
     brute_order,
     build_poset,
+    compute_levels,
     enumerate_maximal_chains,
+    extend,
+    linearisations_equivalent,
+    parse_poset,
+    render_poset,
+    satisfies_elcc,
 )
 from helpers import (
+    abc_poset,
     antichain,
     boolean_lattice_3,
     bounds_bruteforce,
     chain,
     corpus,
+    cover_walk_layers,
+    diamond_poset,
     grid_poset,
     is_lattice_bruteforce,
+    random_table,
 )
 
 ABC_PAIRS = [("bot", "a"), ("a", "b"), ("b", "top"), ("bot", "c"), ("c", "top")]
@@ -467,3 +480,91 @@ def test_is_lattice_on_long_chains_around_a_diamond_and_a_bowtie():
     bowtie = [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")]
     assert not _chain_around(3000, ["a", "b", "c", "d"], bowtie).is_lattice()
     assert not _doubled_top(3000).is_lattice()
+
+
+@st.composite
+def redundant_generating_pairs(draw):
+    """Pairs rising along a drawn linear order, shuffled, with some drawn
+    twice and, for some two that chain, the pair they imply."""
+    n = draw(st.integers(0, 12))
+    names = [f"n{i}" for i in range(n)]
+    if not n:
+        return names, []
+    height = draw(st.permutations(range(n)))
+    index = st.integers(0, n - 1)
+    pairs = [(i, j) for i, j in draw(st.lists(st.tuples(index, index), max_size=30))
+             if height[i] < height[j]]
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=6))
+        implied = [(i, k) for i, j in pairs for m, k in pairs if j == m]
+        if implied:
+            pairs += draw(st.lists(st.sampled_from(implied), max_size=6))
+    pairs = draw(st.permutations(pairs))
+    return names, [(names[i], names[j]) for i, j in pairs]
+
+
+@settings(max_examples=300)
+@given(redundant_generating_pairs())
+def test_layers_over_the_generating_pairs_equal_the_cover_walks(drawn):
+    elements, pairs = drawn
+    p = build_poset(elements, pairs)
+    covers = brute_order(elements, pairs)[1]
+    for upward in (True, False):
+        assert p._layers(upward) == cover_walk_layers(elements, covers, upward)
+
+
+def _count_closures(monkeypatch):
+    """Count the calls of the closure kernel, two per poset that builds it."""
+    calls = []
+    kernel = posetlin.poset._closure_and_covers
+
+    def counted(order, succ):
+        calls.append(order)
+        return kernel(order, succ)
+
+    monkeypatch.setattr(posetlin.poset, "_closure_and_covers", counted)
+    return calls
+
+
+def test_levels_and_chain_length_never_build_the_closure(monkeypatch):
+    text = render_poset(chain(5))  # rendering reads the covers
+    calls = _count_closures(monkeypatch)
+    for p in (abc_poset(), grid_poset(3, 4), chain(50), parse_poset(text)):
+        primal = compute_levels(p, PRIMAL)
+        primal.classes_ascending()
+        compute_levels(p, DUAL).classes_ascending()
+        linearisations_equivalent(p)
+        p.longest_chain_length()
+        table = random_table(p, diamond_poset(), 1)
+        extend(table, primal, compute_levels(table.codomain), "over")
+    assert calls == []
+
+
+ORDER_QUERIES = {
+    "is_lattice": lambda p: p.is_lattice(),
+    "leq": lambda p: p.leq("bot", "top"),
+    "satisfies_elcc": satisfies_elcc,
+    "above": lambda p: p.above("a"),
+}
+
+
+@pytest.mark.parametrize("query", ORDER_QUERIES)
+def test_the_first_order_query_builds_the_closure_once(monkeypatch, query):
+    calls = _count_closures(monkeypatch)
+    p = abc_poset()
+    ORDER_QUERIES[query](p)
+    assert len(calls) == 2
+    for other in ORDER_QUERIES.values():
+        other(p)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("first", ["is_monotone", "is_antitone"])
+def test_table_checks_build_each_posets_closure_once(monkeypatch, first):
+    calls = _count_closures(monkeypatch)
+    table = random_table(abc_poset(), diamond_poset(), 3, arity=2)
+    getattr(table, first)()
+    assert len(calls) == 4  # two for the domain, two for the codomain
+    table.is_monotone()
+    table.is_antitone()
+    assert len(calls) == 4
