@@ -11,6 +11,7 @@ elements (level 0 is the bottom layer).  Both directions produce exactly
 from collections import namedtuple
 
 from .errors import EmptyPosetError
+from .poset import _indices
 
 PRIMAL = "primal"
 DUAL = "dual"
@@ -83,7 +84,7 @@ def compute_levels(p, direction=PRIMAL):
     _check_direction(direction)
     if len(p) == 0:
         raise EmptyPosetError("cannot linearise an empty poset")
-    layer = p._layers(direction == PRIMAL)
+    layer = (p if direction == PRIMAL else p._dual())._layers()
     bins = [[] for _ in range(1 + max(layer))]
     for x, k in zip(p.elements, layer):
         bins[k].append(x)
@@ -96,25 +97,17 @@ def satisfies_elcc(p):
     Decided without chain enumeration.  Every maximal chain is a cover walk
     from a minimal to a maximal element, and the dual level of an element is
     the longest cover walk up to it from a minimal one.  All maximal chains
-    share one length exactly when every cover step raises the dual level by
-    exactly one (so all walks into an element have equal length) and every
-    maximal element sits on the top dual level.
+    share one length exactly when every upper cover sits exactly one dual
+    level up (so all walks into an element have equal length) and every
+    element with no upper cover sits on the top dual level.
     """
     if len(p) == 0:
         raise EmptyPosetError("cannot linearise an empty poset")
-    cover_down = p._closure()[3]  # built before ``rows``, so the two peaks do not add
-    grade = p._layers(False)
-    rows = [0] * (1 + max(grade))
-    for i, g in enumerate(grade):
-        rows[g] |= 1 << i
-    non_maximal = 0
-    for g, below in zip(grade, cover_down):
-        # grade 0 elements are minimal, so ``below`` is empty for them
-        if below & ~rows[g - 1]:
-            return False
-        non_maximal |= below
-    # every element outside ``non_maximal`` is maximal and must sit on top
-    return rows[-1] | non_maximal == (1 << len(grade)) - 1
+    cover_up = p._closure()[1]
+    grade = p._dual()._layers()
+    top = max(grade)
+    return all(all(grade[j] == g + 1 for j in _indices(above)) if above else g == top
+               for g, above in zip(grade, cover_up))
 
 
 def linearisations_equivalent(p):
@@ -130,6 +123,6 @@ def linearisations_equivalent(p):
     """
     if len(p) == 0:
         raise EmptyPosetError("cannot linearise an empty poset")
-    up, down = p._layers(True), p._layers(False)
+    up, down = p._layers(), p._dual()._layers()
     k = 1 + max(down)
     return all(u + d == k - 1 for u, d in zip(up, down))

@@ -157,7 +157,7 @@ class MappingTable:
 
     def _check(self, ok):
         if self._pairs is None:
-            covers = [(x, list(_indices(c))) for x, c in enumerate(self.domain._closure()[2]) if c]
+            covers = [(x, list(_indices(c))) for x, c in enumerate(self.domain._closure()[1]) if c]
             self._pairs = _cover_pairs(self._values, len(self.domain), self.arity, covers)
         return _holds(self._pairs, ok)
 
@@ -167,7 +167,7 @@ class MappingTable:
 
     def is_antitone(self):
         """True iff pointwise greater arguments never map to a greater value."""
-        return self._check(self.codomain._closure()[1])
+        return self._check(self.codomain._dual()._closure()[0])
 
 
 class ClassMapping(namedtuple("ClassMapping", "domain_lin codomain_lin arity mode table")):

@@ -3,12 +3,17 @@
 Elements are numbered 0..n-1 in declaration order.  A poset keeps its
 generating pairs as successor and predecessor lists, in one topological
 order; levels and the longest chain walk them in O(n + pairs) steps and no
-bitsets.  The first order query adds the closure, four lists of ``int``
-bitsets: bit ``j`` of ``up[i]`` is set iff element ``i`` is strictly below
-element ``j``, ``down`` is the mirror image, and ``cover_up``/``cover_down``
-hold the cover relation (transitive reduction).  Order queries are bit
-tests; sets of names are built only at the API edge, on each call.  Every
-derived listing follows declaration order.
+bitsets.  The first upward order query adds the closure, two lists of
+``int`` bitsets: bit ``j`` of ``up[i]`` is set iff element ``i`` is strictly
+below element ``j``, and ``cover_up`` holds the upper covers (the transitive
+reduction).  Every downward query asks the dual poset, built on first use
+over the same elements with the generating lists swapped, whose upward half
+is this poset's downward one.  So ``levels`` and ``equiv`` build no closure,
+``elcc`` builds the upper half, ``check`` both, and a table check the
+domain's upper half with the codomain's upper half (``is_monotone``) or its
+dual's (``is_antitone``).  Order queries are bit tests; sets of names are
+built only at the API edge, on each call.  Every derived listing follows
+declaration order.
 """
 
 from .errors import (
@@ -109,20 +114,25 @@ def build_poset(elements, pairs):
 class Poset:
     """Immutable finite poset.  Use :func:`build_poset` to construct one."""
 
-    __slots__ = ("elements", "_pos", "_order", "_succ", "_pred", "_bits")
+    __slots__ = ("elements", "_pos", "_order", "_succ", "_pred", "_bits", "_mirror")
 
     def __init__(self, names, pos, order, succ, pred):
         self.elements = tuple(names)
         self._pos, self._order, self._succ, self._pred = pos, order, succ, pred
-        self._bits = None
+        self._bits = self._mirror = None
 
     def _closure(self):
-        """``(up, down, cover_up, cover_down)``, built on the first call."""
+        """``(up, cover_up)``, built on the first call."""
         if self._bits is None:
-            up, cover_up = _closure_and_covers(self._order, self._succ)
-            down, cover_down = _closure_and_covers(self._order[::-1], self._pred)
-            self._bits = up, down, cover_up, cover_down
+            self._bits = _closure_and_covers(self._order, self._succ)
         return self._bits
+
+    def _dual(self):
+        """The same elements in the reverse order, built on the first call.
+        It keeps no reference back, so a poset and its dual form no cycle."""
+        if self._mirror is None:
+            self._mirror = Poset(self.elements, self._pos, self._order[::-1], self._pred, self._succ)
+        return self._mirror
 
     def __len__(self):
         return len(self.elements)
@@ -150,6 +160,13 @@ class Poset:
         except KeyError:
             raise self._unknown(x) from None
 
+    def _pair(self, x, y):
+        """Declaration indices of ``x`` and ``y``."""
+        try:
+            return self._pos[x], self._pos[y]
+        except KeyError:
+            raise self._unknown(x, y) from None
+
     def _unknown(self, *names):
         """The error naming the first of ``names`` that is not an element."""
         name = next(x for x in names if x not in self._pos)
@@ -157,19 +174,18 @@ class Poset:
 
     def _pair_counts(self):
         """Numbers of strict pairs and of cover pairs, package-internal."""
-        return tuple(sum(map(int.bit_count, rows)) for rows in self._closure()[::2])
+        return tuple(sum(map(int.bit_count, rows)) for rows in self._closure())
 
-    def _layers(self, upward):
+    def _layers(self):
         """Package-internal: ``layer[i]`` counts the cover steps of the longest
-        walk from element ``i`` up to a maximal element (``upward``) or down
-        to a minimal one.  Every cover is a generating pair and every pair a
-        chain of covers, so relaxing the generating lists in topological order
-        finds the same walks, in O(n + pairs) steps and with no closure."""
-        adj = self._succ if upward else self._pred
-        layer = [0] * len(adj)
-        for i in reversed(self._order) if upward else self._order:
-            if adj[i]:
-                layer[i] = 1 + max(map(layer.__getitem__, adj[i]))
+        walk from element ``i`` up to a maximal element.  Every cover is a
+        generating pair and every pair a chain of covers, so relaxing the
+        generating lists in topological order finds the same walks, in
+        O(n + pairs) steps and with no closure."""
+        layer = [0] * len(self._succ)
+        for i in reversed(self._order):
+            if self._succ[i]:
+                layer[i] = 1 + max(map(layer.__getitem__, self._succ[i]))
         return layer
 
     def _pairs(self, rows):
@@ -184,7 +200,7 @@ class Poset:
     @property
     def cover_pairs(self):
         """All pairs (x, y) with y covering x, as a frozenset."""
-        return self._pairs(self._closure()[2])
+        return self._pairs(self._closure()[1])
 
     def _names(self, rows, x):
         """The names of the set bits of ``x``'s row in ``rows``, as a frozenset."""
@@ -196,75 +212,61 @@ class Poset:
 
     def below(self, x):
         """Elements strictly smaller than ``x``."""
-        return self._names(self._closure()[1], x)
+        return self._dual().above(x)
 
     def covers_above(self, x):
-        return self._names(self._closure()[2], x)
+        return self._names(self._closure()[1], x)
 
     def covers_below(self, x):
-        return self._names(self._closure()[3], x)
+        return self._dual().covers_above(x)
 
     def lt(self, x, y):
-        try:
-            i, j = self._pos[x], self._pos[y]
-        except KeyError:
-            raise self._unknown(x, y) from None
+        i, j = self._pair(x, y)
         return self._closure()[0][i] >> j & 1 == 1
 
     def leq(self, x, y):
-        try:
-            i, j = self._pos[x], self._pos[y]
-        except KeyError:
-            raise self._unknown(x, y) from None
+        i, j = self._pair(x, y)
         return i == j or self._closure()[0][i] >> j & 1 == 1
 
     def incomparable(self, x, y):
-        try:
-            i, j = self._pos[x], self._pos[y]
-        except KeyError:
-            raise self._unknown(x, y) from None
-        up, down = self._closure()[:2]
-        return i != j and (up[i] | down[i]) >> j & 1 == 0
+        i, j = self._pair(x, y)
+        up = self._closure()[0]
+        return i != j and (up[i] >> j | up[j] >> i) & 1 == 0
 
     def is_linear(self):
-        """True iff every pair of distinct elements is comparable."""
-        full = (1 << len(self.elements)) - 1
-        up, down = self._closure()[:2]
-        return all(u | d | 1 << i == full for i, (u, d) in enumerate(zip(up, down)))
-
-    def _extremes(self, subset, sets):
-        members = (1 << len(self.elements)) - 1 if subset is None else 0
-        for x in frozenset(subset or ()):
-            members |= 1 << self.position(x)
-        return tuple(x for i, (x, s) in enumerate(zip(self.elements, sets))
-                     if members >> i & 1 and not s & members)
+        """True iff every pair of distinct elements is comparable, that is iff
+        the strict order holds all n(n-1)/2 pairs it can hold."""
+        n = len(self.elements)
+        return sum(map(int.bit_count, self._closure()[0])) == n * (n - 1) // 2
 
     def maximal_elements(self, subset=None):
         """Members of ``subset`` (default: all) with no strict upper bound in it.
 
         Returned in declaration order.
         """
-        return self._extremes(subset, self._closure()[0])
+        members = (1 << len(self.elements)) - 1 if subset is None else 0
+        for x in frozenset(subset or ()):
+            members |= 1 << self.position(x)
+        return tuple(x for i, (x, s) in enumerate(zip(self.elements, self._closure()[0]))
+                     if members >> i & 1 and not s & members)
 
     def minimal_elements(self, subset=None):
-        return self._extremes(subset, self._closure()[1])
+        return self._dual().maximal_elements(subset)
 
     def longest_chain_length(self):
         """Maximum number of elements in a chain, via longest-path DP on the generating pairs."""
         if not self.elements:
             return 0
-        return 1 + max(self._layers(False))
+        return 1 + max(self._layers())
 
-    def _bound(self, x, y, sets):
-        """The element whose reflexive set in ``sets`` is the intersection of
-        those of ``x`` and ``y``: their least upper bound for up-sets, their
-        greatest lower bound for down-sets.  None if no element has that set."""
-        try:
-            i, j = self._pos[x], self._pos[y]
-        except KeyError:
-            raise self._unknown(x, y) from None
-        common = (sets[i] | 1 << i) & (sets[j] | 1 << j)
-        found = [k for k in _indices(common) if sets[k] | 1 << k == common]
+    def _bound(self, x, y):
+        """The least upper bound of ``x`` and ``y``: the element whose
+        reflexive up-set is the intersection of theirs.  None if no element
+        has that set."""
+        i, j = self._pair(x, y)
+        up = self._closure()[0]
+        common = (up[i] | 1 << i) & (up[j] | 1 << j)
+        found = [k for k in _indices(common) if up[k] | 1 << k == common]
         return self.elements[found[0]] if found else None
 
     def is_lattice(self):
@@ -273,7 +275,7 @@ class Poset:
         A finite poset with a greatest element in which every pair has a meet
         is a lattice (Davey & Priestley), so joins are not searched.
         """
-        up, down = self._closure()[:2]
+        up, down = self._closure()[0], self._dual()._closure()[0]
         if sum(not s for s in up) > 1 or sum(not s for s in down) > 1:  # no join or no meet
             return False
         full = (1 << len(up)) - 1
@@ -286,14 +288,14 @@ class Poset:
 
     def sup(self, x, y):
         """Least upper bound of ``{x, y}``; raises ``NotALatticeError`` if absent."""
-        bound = self._bound(x, y, self._closure()[0])
+        bound = self._bound(x, y)
         if bound is None:
             raise NotALatticeError(f"no least upper bound for {x!r} and {y!r}")
         return bound
 
     def inf(self, x, y):
         """Greatest lower bound of ``{x, y}``; raises ``NotALatticeError`` if absent."""
-        bound = self._bound(x, y, self._closure()[1])
+        bound = self._dual()._bound(x, y)
         if bound is None:
             raise NotALatticeError(f"no greatest lower bound for {x!r} and {y!r}")
         return bound

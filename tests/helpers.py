@@ -194,6 +194,25 @@ def cover_walk_layers(elements, covers, upward):
     return layer
 
 
+def naturally_labelled_posets(max_size):
+    """Every poset on ``x0``..``x{n-1}`` whose order refines the label order,
+    for n = 1..max_size: each new element takes as its strict down-set a
+    down-set of the poset before it.  That gives 1, 2, 7, 40, 357 and 4,824
+    posets for n = 1..6, one per labelled order."""
+    level = [[]]  # each poset as the strict down-set bitmask of each element
+    for n in range(max_size):
+        level = [
+            downs + [s]
+            for downs in level
+            for s in range(1 << n)
+            if all(downs[i] & ~s == 0 for i in range(n) if s >> i & 1)
+        ]
+        names = [f"x{i}" for i in range(n + 1)]
+        for downs in level:
+            pairs = [(names[i], names[j]) for j, s in enumerate(downs) for i in range(j) if s >> i & 1]
+            yield names, pairs
+
+
 def bounds_bruteforce(p, x, y):
     """Lists of least upper and greatest lower bounds of x and y, head on."""
     uppers = [z for z in p.elements if p.leq(x, z) and p.leq(y, z)]

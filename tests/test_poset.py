@@ -1,5 +1,6 @@
 """Construction, validation and elementary order queries."""
 
+import gc
 import sys
 
 import pytest
@@ -16,6 +17,7 @@ from posetlin import (
     NotALatticeError,
     SplitMix64,
     UnknownElementError,
+    brute_levels,
     brute_order,
     build_poset,
     compute_levels,
@@ -37,6 +39,7 @@ from helpers import (
     diamond_poset,
     grid_poset,
     is_lattice_bruteforce,
+    naturally_labelled_posets,
     random_table,
 )
 
@@ -510,20 +513,69 @@ def test_layers_over_the_generating_pairs_equal_the_cover_walks(drawn):
     p = build_poset(elements, pairs)
     covers = brute_order(elements, pairs)[1]
     for upward in (True, False):
-        assert p._layers(upward) == cover_walk_layers(elements, covers, upward)
+        assert (p if upward else p._dual())._layers() == cover_walk_layers(elements, covers, upward)
+
+
+def _bitsets(elements, pairs):
+    """``rows[i]`` has bit ``j`` set iff ``(elements[i], elements[j])`` is in ``pairs``."""
+    index = {x: i for i, x in enumerate(elements)}
+    rows = [0] * len(elements)
+    for x, y in pairs:
+        rows[index[x]] |= 1 << index[y]
+    return rows
+
+
+@settings(max_examples=300)
+@given(redundant_generating_pairs())
+def test_each_closure_half_equals_the_brute_order(drawn):
+    elements, pairs = drawn
+    p = build_poset(elements, pairs)
+    strict, covers = brute_order(elements, pairs)
+    assert p._closure() == (_bitsets(elements, strict), _bitsets(elements, covers))
+    dual = p._dual()
+    assert dual._closure() == (
+        _bitsets(elements, {(y, x) for x, y in strict}),
+        _bitsets(elements, {(y, x) for x, y in covers}),
+    )
+    assert dual.elements == p.elements
+    assert p not in gc.get_referents(dual)  # no cycle for the collector to break
+
+
+def test_every_naturally_labelled_poset_up_to_six_elements():
+    counts = {}
+    for elements, pairs in naturally_labelled_posets(6):
+        counts[len(elements)] = counts.get(len(elements), 0) + 1
+        p = build_poset(elements, pairs)
+        for direction in (PRIMAL, DUAL):
+            assert compute_levels(p, direction) == brute_levels(p, direction), (elements, pairs)
+        lengths = {len(c) for c in enumerate_maximal_chains(p)}
+        assert satisfies_elcc(p) == (len(lengths) == 1), (elements, pairs)
+        assert p.is_lattice() == is_lattice_bruteforce(p), (elements, pairs)
+        strict, covers = brute_order(elements, pairs)
+        for x in elements:
+            assert p.below(x) == {a for a, b in strict if b == x}, (elements, pairs, x)
+            assert p.covers_below(x) == {a for a, b in covers if b == x}, (elements, pairs, x)
+    assert counts == {1: 1, 2: 2, 3: 7, 4: 40, 5: 357, 6: 4824}
 
 
 def _count_closures(monkeypatch):
-    """Count the calls of the closure kernel, two per poset that builds it."""
+    """Record each call of the closure kernel by the generating lists it
+    walks: a poset's ``_succ`` for its upper half, its ``_pred`` for its
+    dual's, which is its lower half."""
     calls = []
     kernel = posetlin.poset._closure_and_covers
 
     def counted(order, succ):
-        calls.append(order)
+        calls.append(succ)
         return kernel(order, succ)
 
     monkeypatch.setattr(posetlin.poset, "_closure_and_covers", counted)
     return calls
+
+
+def _halves(calls, p):
+    """The recorded calls that built a half of ``p``, as ``"up"`` or ``"down"``."""
+    return ["up" if s is p._succ else "down" for s in calls if s is p._succ or s is p._pred]
 
 
 def test_levels_and_chain_length_never_build_the_closure(monkeypatch):
@@ -540,11 +592,14 @@ def test_levels_and_chain_length_never_build_the_closure(monkeypatch):
     assert calls == []
 
 
-ORDER_QUERIES = {
-    "is_lattice": lambda p: p.is_lattice(),
-    "leq": lambda p: p.leq("bot", "top"),
-    "satisfies_elcc": satisfies_elcc,
-    "above": lambda p: p.above("a"),
+ORDER_QUERIES = {  # each query and the closure halves it builds first
+    "is_lattice": (lambda p: p.is_lattice(), ["up", "down"]),
+    "leq": (lambda p: p.leq("bot", "top"), ["up"]),
+    "satisfies_elcc": (satisfies_elcc, ["up"]),
+    "above": (lambda p: p.above("a"), ["up"]),
+    "below": (lambda p: p.below("a"), ["down"]),
+    "minimal_elements": (lambda p: p.minimal_elements(), ["down"]),
+    "inf": (lambda p: p.inf("a", "c"), ["down"]),
 }
 
 
@@ -552,10 +607,12 @@ ORDER_QUERIES = {
 def test_the_first_order_query_builds_the_closure_once(monkeypatch, query):
     calls = _count_closures(monkeypatch)
     p = abc_poset()
-    ORDER_QUERIES[query](p)
-    assert len(calls) == 2
-    for other in ORDER_QUERIES.values():
+    first, halves = ORDER_QUERIES[query]
+    first(p)
+    assert _halves(calls, p) == halves
+    for other, _ in ORDER_QUERIES.values():
         other(p)
+    assert sorted(_halves(calls, p)) == ["down", "up"]
     assert len(calls) == 2
 
 
@@ -564,7 +621,11 @@ def test_table_checks_build_each_posets_closure_once(monkeypatch, first):
     calls = _count_closures(monkeypatch)
     table = random_table(abc_poset(), diamond_poset(), 3, arity=2)
     getattr(table, first)()
-    assert len(calls) == 4  # two for the domain, two for the codomain
+    assert _halves(calls, table.domain) == ["up"]  # the upper covers
+    assert _halves(calls, table.codomain) == ["up" if first == "is_monotone" else "down"]
+    assert len(calls) == 2
     table.is_monotone()
     table.is_antitone()
-    assert len(calls) == 4
+    assert _halves(calls, table.domain) == ["up"]
+    assert sorted(_halves(calls, table.codomain)) == ["down", "up"]
+    assert len(calls) == 3
