@@ -4,7 +4,8 @@ A mapping is stored as a complete table so monotonicity can be decided on
 cover steps and the class-level extension evaluated exactly.  Extending a
 table over two linearisations collapses each argument class to a single
 class-valued output: mode "over" keeps the greatest projected value of the
-table across the class product, mode "under" the least.
+table across the class product, mode "under" the least, as one flat tuple of
+codomain ranks; the result's level-index ``table`` is a view built on access.
 """
 
 from collections import namedtuple
@@ -22,6 +23,7 @@ from .errors import (
     TooLargeError,
     UnknownElementError,
 )
+from .levels import PRIMAL
 from .poset import _indices
 
 MODE_OVER = "over"
@@ -65,11 +67,6 @@ def _holds(pairs, ok):
     """True iff ``u == v or ok[u] >> v & 1`` for every pair: ``ok[u]`` is the
     bitset of values allowed above ``u`` besides ``u``, a strict order."""
     return all(u == v or ok[u] >> v & 1 for u, v in pairs)
-
-
-def _ranks(lin):
-    """Rank of each level index, and level of each rank: ``rank`` is its own inverse."""
-    return list(map(lin.rank, range(lin.num_classes)))
 
 
 def _check_size(n, arity):
@@ -170,33 +167,41 @@ class MappingTable:
         return self._check(self.codomain._dual()._closure()[0])
 
 
-class ClassMapping(namedtuple("ClassMapping", "domain_lin codomain_lin arity mode table")):
-    """A mapping between level indices of two linearisations.
+class ClassMapping(namedtuple("ClassMapping", "domain_lin codomain_lin arity mode ranks")):
+    """A mapping between the classes of two linearisations.
 
-    Keys of ``table`` are all tuples of domain level indices (the computation
-    indices of ``domain_lin.levels``), values are codomain level indices.
+    ``ranks`` holds the codomain rank (0 = least class) at each tuple of domain
+    ranks, first argument most significant; ``table`` views it on access by
+    level indices, and ``cm(*level_indices)`` reads one value in O(arity).
     Monotonicity is judged in the ascending linear order of each side.
     """
 
     __slots__ = ()
 
-    def __call__(self, *level_indices):
-        return self.table[level_indices]
+    @property
+    def table(self):
+        """Read-only view by level indices; a primal domain's levels count ranks down."""
+        keys = product(range(self.domain_lin.num_classes), repeat=self.arity)
+        ranks = self.ranks[::-1] if self.domain_lin.direction == PRIMAL else self.ranks
+        return MappingProxyType(dict(zip(keys, map(self.codomain_lin.rank, ranks))))
 
-    def _ranked(self):
-        """Codomain ranks in mixed radix over domain ranks, least tuple first."""
-        keys = product(_ranks(self.domain_lin), repeat=self.arity)
-        return list(map(_ranks(self.codomain_lin).__getitem__, map(self.table.__getitem__, keys)))
+    def __call__(self, *level_indices):
+        m, slot = self.domain_lin.num_classes, 0
+        if len(level_indices) != self.arity or not all(i in range(m) for i in level_indices):
+            raise KeyError(level_indices)  # as a dict would; a tuple wraps a negative index
+        for i in level_indices:
+            slot = slot * m + self.domain_lin.rank(i)
+        return self.codomain_lin.rank(self.ranks[slot])
 
     def ranked_table(self):
         """The table in ascending rank coordinates (0 = least class), sorted by key."""
         keys = product(range(self.domain_lin.num_classes), repeat=self.arity)
-        return dict(zip(keys, self._ranked()))
+        return dict(zip(keys, self.ranks))
 
     def _report(self):
         """``ranked_table()`` items, ``is_monotone()`` and ``is_antitone()``,
-        from one rank list and one set of cover-step pairs."""
-        ranked, arity = self._ranked(), self.arity
+        from ``ranks`` and one set of cover-step pairs."""
+        ranked, arity = self.ranks, self.arity
         m, c = self.domain_lin.num_classes, self.codomain_lin.num_classes
         # the domain side is the chain of ranks, so r + 1 covers r
         pairs = _cover_pairs(ranked, m, arity, [(r, (r + 1,)) for r in range(m - 1)])
@@ -219,8 +224,8 @@ def extend(table, domain_lin, codomain_lin, mode):
     and the greatest (mode "over") or least (mode "under") one in the
     codomain's linear order is kept.  The codomain order is linear, so the
     choice is unambiguous.  One pass over the table does this: each slot's
-    tuple of domain classes, read in mixed radix, numbers the class slot
-    that keeps the best codomain rank seen.
+    tuple of domain ranks, read in mixed radix, numbers the class slot that
+    keeps the best codomain rank seen.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -229,19 +234,18 @@ def extend(table, domain_lin, codomain_lin, mode):
     if codomain_lin.source != table.codomain:
         raise PosetMismatchError("codomain linearisation built from a different poset")
     m, arity = domain_lin.num_classes, table.arity
-    classes = list(map(domain_lin.class_of.__getitem__, table.domain.elements))
+    classes = list(map(domain_lin.rank_of, table.domain.elements))
     class_slots = [0]
     for _ in range(arity):
         class_slots = [c * m + d for c in class_slots for d in classes]
-    # "under" keeps the greatest negated rank; every signed rank beats -len(rank_c)
-    rank_c, sign = _ranks(codomain_lin), 1 if mode == MODE_OVER else -1
-    signed = [sign * rank_c[codomain_lin.class_of[y]] for y in table.codomain.elements]
-    best = [-len(rank_c)] * m**arity
+    # "under" keeps the greatest negated rank; every signed rank beats -num_classes
+    sign = 1 if mode == MODE_OVER else -1
+    signed = [sign * codomain_lin.rank_of(y) for y in table.codomain.elements]
+    best = [-codomain_lin.num_classes] * m**arity
     for c, r in zip(class_slots, map(signed.__getitem__, table._values)):
         if r > best[c]:
             best[c] = r
-    out = zip(product(range(m), repeat=arity), (rank_c[sign * r] for r in best))
-    return ClassMapping(domain_lin, codomain_lin, arity, mode, dict(out))
+    return ClassMapping(domain_lin, codomain_lin, arity, mode, tuple(map(sign.__mul__, best)))
 
 
 def extend_all(tables, domain_lin, codomain_lin, mode):

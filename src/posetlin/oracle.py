@@ -139,9 +139,9 @@ def brute_preserves(table, leq, ok):
 def brute_extend(table, domain_lin, codomain_lin, mode):
     """Extension of a mapping table to classes, straight from its definition.
 
-    For each tuple of domain level indices, looks the table up on every
-    member tuple of the class product and keeps the codomain class of
-    greatest (mode "over") or least (mode "under") rank.  Output equals
+    For each tuple of domain ranks, in mixed radix, looks the table up on
+    every member tuple of the class product and keeps the greatest (mode
+    "over") or least (mode "under") codomain rank.  Output equals
     ``extend(table, domain_lin, codomain_lin, mode)`` exactly; capped at
     ``MAX_BRUTE_TABLE`` table entries.
     """
@@ -151,12 +151,11 @@ def brute_extend(table, domain_lin, codomain_lin, mode):
         raise TooLargeError(f"brute_extend is capped at {MAX_BRUTE_TABLE} table entries")
     entries = table.table
     pick = max if mode == MODE_OVER else min
-    out = {}
+    out = []
     for key in product(range(domain_lin.num_classes), repeat=table.arity):
-        members = product(*(domain_lin.levels[c] for c in key))
-        images = {codomain_lin.class_of[entries[xs]] for xs in members}
-        out[key] = pick(images, key=codomain_lin.rank)
-    return ClassMapping(domain_lin, codomain_lin, table.arity, mode, out)
+        members = product(*(domain_lin.levels[domain_lin.rank(r)] for r in key))
+        out.append(pick({codomain_lin.rank_of(entries[xs]) for xs in members}))
+    return ClassMapping(domain_lin, codomain_lin, table.arity, mode, tuple(out))
 
 
 def brute_rank(items, k, direction=PRIMAL):

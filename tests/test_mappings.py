@@ -464,6 +464,21 @@ def test_calling_a_table_outside_its_domain_raises_key_error(abc_lattice):
             table(*xs)
 
 
+@pytest.mark.parametrize("arity", [1, 2])
+def test_calling_a_class_mapping_outside_its_classes_raises_key_error(abc_lattice, arity):
+    table = MappingTable(
+        abc_lattice, arity, abc_lattice, {xs: xs[-1] for xs in product(abc_lattice, repeat=arity)}
+    )
+    for direction in DIRECTIONS:
+        lin = compute_levels(abc_lattice, direction)
+        cm, m, inside = extend(table, lin, lin, "over"), lin.num_classes, (0,) * (arity - 1)
+        assert cm(*inside, m - 1) == cm.table[(*inside, m - 1)]
+        wrong_arity = [inside, (*inside, 0, 0)]
+        for levels in wrong_arity + [(*inside, -1), (*inside, m), (-1,) * arity]:
+            with pytest.raises(KeyError):
+                cm(*levels)
+
+
 def test_table_view_is_read_only_and_in_declaration_order(abc_lattice):
     entries = {(x, y): y for x in reversed(abc_lattice.elements) for y in abc_lattice}
     table = MappingTable(abc_lattice, 2, abc_lattice, entries)
@@ -565,7 +580,13 @@ def test_extend_matches_the_class_product_reference_on_drawn_tables(arity, seed,
     keys = list(product(dom.elements, repeat=arity))
     images = st.sampled_from(cod.elements)
     images = data.draw(st.lists(images, min_size=len(keys), max_size=len(keys)))
-    _extensions_match_brute(MappingTable(dom, arity, cod, dict(zip(keys, images))))
+    for cm in _extensions_match_brute(MappingTable(dom, arity, cod, dict(zip(keys, images)))):
+        # the level-index view and calls read the rank tuple, reversed on a primal domain
+        dom_lin, cod_lin, view, ranked = cm.domain_lin, cm.codomain_lin, cm.table, cm.ranked_table()
+        assert list(view) == list(product(range(dom_lin.num_classes), repeat=arity))
+        for k, value in view.items():
+            assert cm(*k) == value
+            assert ranked[tuple(map(dom_lin.rank, k))] == cod_lin.rank(value)
 
 
 def test_emit_json_equals_its_composition_from_public_calls():

@@ -51,12 +51,12 @@ PINNED = [
     ),
     (
         ClassMapping,
-        ("domain_lin", "codomain_lin", "arity", "mode", "table"),
+        ("domain_lin", "codomain_lin", "arity", "mode", "ranks"),
         "ClassMapping(domain_lin=Linearisation(source=Poset(2 elements, 1 strict pairs), "
         "direction='primal', levels=(frozenset({'b'}), frozenset({'a'})), "
         "class_of={'a': 1, 'b': 0}), codomain_lin=Linearisation(source=Poset(2 elements, "
         "1 strict pairs), direction='dual', levels=(frozenset({'a'}), frozenset({'b'})), "
-        "class_of={'a': 0, 'b': 1}), arity=1, mode='over', table={(0,): 1, (1,): 0})",
+        "class_of={'a': 0, 'b': 1}), arity=1, mode='over', ranks=(0, 1))",
     ),
     (
         ImpossibilityWitness,
