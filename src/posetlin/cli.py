@@ -19,7 +19,7 @@ from .formats import (
     rank_items,
 )
 from .levels import DUAL, PRIMAL, compute_levels, linearisations_equivalent, satisfies_elcc
-from .mappings import extend, impossibility_witness
+from .mappings import MODES, extend, impossibility_witness
 from .oracle import brute_levels, enumerate_maximal_chains
 
 
@@ -185,7 +185,7 @@ def _build_parser():
     cmd.add_argument("domain_poset")
     cmd.add_argument("codomain_poset")
     cmd.add_argument("mapping")
-    cmd.add_argument("--mode", choices=("over", "under"), required=True)
+    cmd.add_argument("--mode", choices=MODES, required=True)
     cmd.add_argument("--domain-dual", action="store_true")
     cmd.add_argument("--codomain-dual", action="store_true")
 

@@ -43,7 +43,7 @@ from math import lcm
 from .errors import EmptyInputError, ParseError, UnknownElementError
 from .levels import PRIMAL, Linearisation, _check_direction
 from .mappings import ClassMapping, MappingTable, _check_size
-from .poset import build_poset
+from .poset import _indices, build_poset
 
 _MAX_EXPONENT = 4300  # the int digit limit; Fraction("1e10000000") takes seconds
 _MAX_SCALE_BITS = 4096
@@ -87,9 +87,10 @@ def parse_poset(text):
 
 def render_poset(p):
     """Render a poset in the poset file format; inverse of :func:`parse_poset`."""
-    lines = [f"elem {x}" for x in p.elements]
-    covers = sorted(p.cover_pairs, key=lambda e: (p.position(e[0]), p.position(e[1])))
-    lines.extend(f"{x} < {y}" for x, y in covers)
+    names = p.elements
+    lines = [f"elem {x}" for x in names]
+    for x, covers in zip(names, p._closure()[1]):
+        lines.extend(f"{x} < {names[j]}" for j in _indices(covers))
     return "\n".join(lines) + "\n"
 
 
@@ -318,15 +319,14 @@ def emit_json(value):
     order.
     """
     if isinstance(value, Linearisation):
-        payload = {"direction": value.direction, "classes": value.classes_ascending()}
+        payload = _linearisation(value)
     elif isinstance(value, ClassMapping):
-        dom, cod = value.domain_lin, value.codomain_lin
         entries, monotone, antitone = value._report()
         payload = {
             "mode": value.mode,
             "arity": value.arity,
-            "domain": {"direction": dom.direction, "classes": dom.classes_ascending()},
-            "codomain": {"direction": cod.direction, "classes": cod.classes_ascending()},
+            "domain": _linearisation(value.domain_lin),
+            "codomain": _linearisation(value.codomain_lin),
             "entries": list(entries),
             "monotone": monotone,
             "antitone": antitone,
@@ -342,6 +342,10 @@ def emit_json(value):
     return canonical_json(payload)
 
 
+def _linearisation(lin):
+    return {"direction": lin.direction, "classes": lin.classes_ascending()}
+
+
 def canonical_json(payload):
-    """Serialise plain JSON data compactly, keeping the payload's key order."""
-    return json.dumps(payload, separators=(",", ":"))
+    """Serialise an acyclic tree of plain JSON data compactly, keeping its key order."""
+    return json.dumps(payload, separators=(",", ":"), check_circular=False)

@@ -46,10 +46,13 @@ class Linearisation(namedtuple("Linearisation", "source direction levels class_o
         return self.class_of[x]
 
     def rank(self, level_index):
-        """Position of a level in the ascending linear order (0 = least class)."""
-        if self.direction == PRIMAL:
-            return len(self.levels) - 1 - level_index
-        return level_index
+        """Position of a level in the ascending linear order (0 = least class).
+        Its own inverse on ``range(num_classes)``, so it also turns a rank back
+        into a level index; any other index raises ``ValueError``."""
+        m = len(self.levels)
+        if level_index not in range(m):
+            raise ValueError(f"level index must be in range({m}), got {level_index!r}")
+        return m - 1 - level_index if self.direction == PRIMAL else level_index
 
     def rank_of(self, x):
         return self.rank(self.project(x))

@@ -5,7 +5,7 @@ cover steps and the class-level extension evaluated exactly.  Extending a
 table over two linearisations collapses each argument class to a single
 class-valued output: mode "over" keeps the greatest projected value of the
 table across the class product, mode "under" the least, as one flat tuple of
-codomain ranks; the result's level-index ``table`` is a view built on access.
+codomain ranks, which its checks compare as integers; ``table`` views it by level.
 """
 
 from collections import namedtuple
@@ -23,7 +23,6 @@ from .errors import (
     TooLargeError,
     UnknownElementError,
 )
-from .levels import PRIMAL
 from .poset import _indices
 
 MODE_OVER = "over"
@@ -61,12 +60,6 @@ def _cover_pairs(values, n, arity, covers):
                     hi = start + y * stride
                     pairs.update(zip(below, values[hi : hi + span : step]))
     return pairs
-
-
-def _holds(pairs, ok):
-    """True iff ``u == v or ok[u] >> v & 1`` for every pair: ``ok[u]`` is the
-    bitset of values allowed above ``u`` besides ``u``, a strict order."""
-    return all(u == v or ok[u] >> v & 1 for u, v in pairs)
 
 
 def _check_size(n, arity):
@@ -153,10 +146,11 @@ class MappingTable:
         return f"MappingTable(arity={self.arity}, {len(self._values)} entries)"
 
     def _check(self, ok):
+        """True iff each cover-step value pair ``(u, v)`` has ``u == v`` or bit ``v`` of ``ok[u]``."""
         if self._pairs is None:
             covers = [(x, list(_indices(c))) for x, c in enumerate(self.domain._closure()[1]) if c]
             self._pairs = _cover_pairs(self._values, len(self.domain), self.arity, covers)
-        return _holds(self._pairs, ok)
+        return all(u == v or ok[u] >> v & 1 for u, v in self._pairs)
 
     def is_monotone(self):
         """True iff pointwise greater arguments never map to a smaller value."""
@@ -173,22 +167,21 @@ class ClassMapping(namedtuple("ClassMapping", "domain_lin codomain_lin arity mod
     ``ranks`` holds the codomain rank (0 = least class) at each tuple of domain
     ranks, first argument most significant; ``table`` views it on access by
     level indices, and ``cm(*level_indices)`` reads one value in O(arity).
-    Monotonicity is judged in the ascending linear order of each side.
+    Monotonicity is judged on ranks, the ascending linear order of each side.
     """
 
     __slots__ = ()
 
     @property
     def table(self):
-        """Read-only view by level indices; a primal domain's levels count ranks down."""
+        """Read-only view by level indices, keys in product order."""
         keys = product(range(self.domain_lin.num_classes), repeat=self.arity)
-        ranks = self.ranks[::-1] if self.domain_lin.direction == PRIMAL else self.ranks
-        return MappingProxyType(dict(zip(keys, map(self.codomain_lin.rank, ranks))))
+        return MappingProxyType({key: self(*key) for key in keys})
 
     def __call__(self, *level_indices):
         m, slot = self.domain_lin.num_classes, 0
         if len(level_indices) != self.arity or not all(i in range(m) for i in level_indices):
-            raise KeyError(level_indices)  # as a dict would; a tuple wraps a negative index
+            raise KeyError(level_indices)  # as a dict would, where ``rank`` raises ValueError
         for i in level_indices:
             slot = slot * m + self.domain_lin.rank(i)
         return self.codomain_lin.rank(self.ranks[slot])
@@ -201,12 +194,11 @@ class ClassMapping(namedtuple("ClassMapping", "domain_lin codomain_lin arity mod
     def _report(self):
         """``ranked_table()`` items, ``is_monotone()`` and ``is_antitone()``,
         from ``ranks`` and one set of cover-step pairs."""
-        ranked, arity = self.ranks, self.arity
-        m, c = self.domain_lin.num_classes, self.codomain_lin.num_classes
-        # the domain side is the chain of ranks, so r + 1 covers r
+        ranked, arity, m = self.ranks, self.arity, self.domain_lin.num_classes
+        # both sides are chains of ranks: r + 1 covers r, and ranks compare as integers
         pairs = _cover_pairs(ranked, m, arity, [(r, (r + 1,)) for r in range(m - 1)])
-        monotone = _holds(pairs, [(1 << c) - (2 << u) for u in range(c)])
-        antitone = _holds(pairs, [(1 << u) - 1 for u in range(c)])
+        monotone = all(u <= v for u, v in pairs)
+        antitone = all(u >= v for u, v in pairs)
         return zip(product(range(m), repeat=arity), ranked), monotone, antitone
 
     def is_monotone(self):
@@ -318,14 +310,9 @@ def impossibility_witness(lattice, ranks):
                 raise RanksNotOrderPreservingError(
                     f"{x!r} < {y!r} but rank({x}) = {ranks[x]} >= rank({y}) = {ranks[y]}"
                 )
-    pair = None
-    for i, x in enumerate(lattice.elements):
-        for y in lattice.elements[i + 1 :]:
-            if lattice.incomparable(x, y):
-                pair = (x, y)
-                break
-        if pair:
-            break
+    names = lattice.elements
+    pair = next(((x, y) for i, x in enumerate(names) for y in names[i + 1 :]
+                 if lattice.incomparable(x, y)), None)
     if pair is None:
         raise LinearLatticeError("the lattice is linear, nothing to witness")
     a, b = pair if ranks[pair[0]] <= ranks[pair[1]] else (pair[1], pair[0])

@@ -124,6 +124,17 @@ def test_render_round_trip_with_an_element_named_elem():
     assert parse_poset(render_poset(p)) == p
 
 
+def test_render_writes_covers_by_declaration_position():
+    # declared top first, pairs in reverse, and "bot < top" is not a cover
+    p = build_poset(
+        ["top", "x", "y", "bot"],
+        [("bot", "top"), ("bot", "y"), ("bot", "x"), ("y", "top"), ("x", "top")],
+    )
+    assert render_poset(p) == (
+        "elem top\nelem x\nelem y\nelem bot\nx < top\ny < top\nbot < x\nbot < y\n"
+    )
+
+
 @st.composite
 def posets(draw):
     name = st.just("elem") | st.text("abxyz019_", min_size=1, max_size=3)

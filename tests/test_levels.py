@@ -60,6 +60,15 @@ def test_project(abc_lattice):
         primal.project("zz")
 
 
+@pytest.mark.parametrize("direction", [PRIMAL, DUAL])
+def test_rank_is_its_own_inverse_and_rejects_an_index_outside_the_levels(direction):
+    lin = compute_levels(chain(3), direction)
+    assert [lin.rank(lin.rank(i)) for i in range(3)] == [0, 1, 2]
+    for index in (-1, 3, 7):
+        with pytest.raises(ValueError, match=rf"range\(3\), got {index}"):
+            lin.rank(index)
+
+
 def test_compare(abc_lattice):
     primal = compute_levels(abc_lattice, PRIMAL)
     assert primal.compare("a", "c") == "less"

@@ -231,6 +231,14 @@ def test_witness_orients_the_pair_by_rank(diamond):
     assert witness.recheck()
 
 
+def test_witness_takes_the_first_incomparable_pair_in_declaration_order(abc_lattice):
+    # "bot" is comparable to every element, and "a" to "b" but not to "c"
+    witness = impossibility_witness(abc_lattice, {"bot": 0, "a": 1, "b": 2, "c": 1, "top": 3})
+    assert witness.pair == ("a", "c")
+    assert witness.case == "collapsed"
+    assert witness.recheck()
+
+
 def test_witness_rejects_linear_lattices():
     with pytest.raises(LinearLatticeError):
         impossibility_witness(chain(3), {"x0": 0, "x1": 1, "x2": 2})
