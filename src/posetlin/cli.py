@@ -24,7 +24,8 @@ from .oracle import brute_levels, enumerate_maximal_chains
 
 
 def _read(path):
-    with open(path, "rb") as handle:  # no newline translation: every parser uses splitlines()
+    """Strict UTF-8, untranslated: every parser's ``splitlines()`` ends lines as text mode would."""
+    with open(path, "rb") as handle:
         return handle.read().decode("utf-8")
 
 
@@ -202,6 +203,7 @@ def _build_parser():
 
 
 def main(argv=None):
+    """Exit code of ``argv``; the root parser only reports what a command's own parser leaves."""
     parser, commands = _build_parser()
     argv = sys.argv[1:] if argv is None else argv
     command = commands.get(argv[0]) if argv else None  # the root parser would hand it argv[1:]

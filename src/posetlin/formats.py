@@ -55,7 +55,7 @@ def _check_token(name, lineno):
 
 
 def parse_poset(text):
-    """Parse a poset file into a validated poset."""
+    """Parse a poset file in one pass and hand its names and pairs to :func:`build_poset`."""
     first = {}  # names in order of first appearance
     again = []  # names of repeated ``elem`` lines, left for build_poset to reject
     pairs = []
@@ -115,10 +115,10 @@ def _first_fields(text):
 def parse_mapping(text, domain, codomain):
     """Parse a mapping file into a total mapping table between two posets.
 
-    Each row goes straight into its slot of the table's flat list.  Errors
-    come in this order: a malformed or conflicting row, at its line; the
-    first row naming an unknown element (its domain names before its value);
-    the first missing tuple.
+    One pass, O(rows · arity), puts each row in its slot of the flat list, with no
+    dict of rows.  Errors come in this order: a malformed or conflicting row, at its
+    line; the first row naming an unknown element (its domain names before its
+    value); the first missing tuple.
     """
     header = _first_fields(text)
     if header is None:
@@ -262,12 +262,12 @@ def rank_items(items, k, direction=PRIMAL):
     """Rank interval-scored items by dominance, best class first.
 
     Classes are the levels of the dominance order on the distinct intervals
-    ([a, b] dominates [c, d] iff c <= a and d <= b), found without building
-    it: scores become integers at the lcm of their denominators (negated if
-    primal), pairs are swept in ascending order, and a pair's level is the
-    number of tails at or below its hi (layers of maxima, O(m log m)).  Whole
-    classes (never split, items and intervals in file order) go out best
-    first until at least ``k`` items are out.
+    ([a, b] dominates [c, d] iff c <= a and d <= b), found without building it:
+    scores become integers at the lcm of their denominators (10^s at most for s
+    decimal places; past 4096 bits they stay rationals), negated if primal, pairs
+    are swept in ascending order, and a pair's level is the number of tails at or
+    below its hi (layers of maxima, O(m log m)).  Whole classes (never split,
+    items and intervals in file order) go out best first until at least ``k`` are out.
     """
     _check_direction(direction)
     if k < 1:

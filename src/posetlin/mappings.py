@@ -40,8 +40,8 @@ def _cover_pairs(values, n, arity, covers):
     to an upper cover, and every ``xs <= ys`` is a chain of them.  Per axis,
     the slots with digit ``x`` and with digit ``y`` come as whole slices (one
     extended slice per offset below the stride, or one plain slice per
-    block, whichever is fewer).  With c distinct values the set holds at
-    most c² pairs, whatever the table's size.
+    block, whichever is fewer), O(entries · covers / n) list work per axis; with
+    c distinct values the set holds at most c² pairs, whatever the table's size.
     """
     total = len(values)
     pairs = set()
@@ -115,11 +115,12 @@ class MappingTable:
         self.arity = arity
         self.codomain = codomain
         self._values = values
-        self._pairs = None  # the cover-step value pairs, collected by the first check
+        self._pairs = None  # cover-step value pairs, from the first check; a race fills equal ones
 
     @property
     def table(self):
-        """Read-only view of the table, argument tuples in declaration product order."""
+        """Read-only view built on each access, argument tuples in declaration
+        product order; a ``MappingTable`` of its ``dict`` equals this one."""
         keys = product(self.domain.elements, repeat=self.arity)
         outputs = map(self.codomain.elements.__getitem__, self._values)
         return MappingProxyType(dict(zip(keys, outputs)))
@@ -304,13 +305,13 @@ def impossibility_witness(lattice, ranks):
             raise UnknownElementError(f"no rank given for element {x!r}")
     if not lattice.is_lattice():
         raise NotALatticeError("witness construction needs a lattice")
-    for x in lattice.elements:  # declaration order names the same pair every run
-        for y in sorted(lattice.above(x), key=lattice.position):
+    names = lattice.elements
+    for x, up in zip(names, lattice._closure()[0]):  # declaration order: the same pair every run
+        for y in map(names.__getitem__, _indices(up)):
             if not ranks[x] < ranks[y]:
                 raise RanksNotOrderPreservingError(
                     f"{x!r} < {y!r} but rank({x}) = {ranks[x]} >= rank({y}) = {ranks[y]}"
                 )
-    names = lattice.elements
     pair = next(((x, y) for i, x in enumerate(names) for y in names[i + 1 :]
                  if lattice.incomparable(x, y)), None)
     if pair is None:

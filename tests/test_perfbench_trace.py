@@ -101,3 +101,23 @@ def test_a_traced_rank_request_counts_its_items(tmp_path, monkeypatch):
     assert metrics["formats.scored_items"] > 0
     assert metrics["formats.distinct_intervals"] > 0
     assert metrics["formats.rank_items.self_ms"] > 0
+
+
+def test_a_traced_inf_is_not_timed_as_a_sup(monkeypatch):
+    """``poset.sup_inf.self_ms`` sums the ``poset.sup`` and ``poset.inf`` spans,
+    so an ``inf`` that went through ``sup`` would be counted twice."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import posetlin.cli  # noqa: F401  (the tracer wraps cli.main too)
+    from posetlin import build_poset
+    from tracing import Tracer
+
+    diamond = build_poset(["bot", "a", "b", "top"],
+                          [("bot", "a"), ("bot", "b"), ("a", "top"), ("b", "top")])
+    tracer = Tracer()
+    try:
+        tracer.install()
+        assert diamond.inf("a", "b") == "bot"
+        assert diamond.sup("a", "b") == "top"
+    finally:
+        tracer.uninstall()
+    assert [span[0] for span in tracer.spans] == ["poset.inf", "poset.sup"]

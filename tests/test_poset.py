@@ -108,6 +108,20 @@ def test_every_whitespace_character_is_rejected_in_a_name():
             build_poset([bad], [])
 
 
+@pytest.mark.parametrize("names, error, message", [
+    (["a b", "a b"], ValueError, "element name may not contain whitespace, '<' or '#': 'a b'"),
+    ([None, "a"], ValueError, "element name must be a non-empty string, got None"),
+    (["a", "", "a"], ValueError, "element name must be a non-empty string, got ''"),
+    (["a", "a", ""], DuplicateElementError, "duplicate element 'a'"),
+    (["a", "a#", "a"], ValueError, "element name may not contain whitespace, '<' or '#': 'a#'"),
+    (["a", ["a"]], ValueError, "element name must be a non-empty string, got ['a']"),  # unhashable
+])
+def test_names_are_checked_in_declaration_order_before_duplicates(names, error, message):
+    with pytest.raises(error) as excinfo:
+        build_poset(names, [])
+    assert type(excinfo.value) is error and str(excinfo.value) == message
+
+
 @pytest.mark.parametrize("pair, missing", [
     (("y", "x"), "y"),
     (("x", "y"), "y"),
@@ -194,6 +208,22 @@ def test_sup_raises_without_a_least_upper_bound():
         pair.sup("x0", "x1")
     with pytest.raises(NotALatticeError):
         pair.inf("x0", "x1")
+
+
+# a, b < c, d: each pair below (above) has two upper (lower) bounds, neither least
+BOWTIE = build_poset(["a", "b", "c", "d"], [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
+
+
+@pytest.mark.parametrize("p, query, x, y, message", [
+    (antichain(2), "sup", "x0", "x1", "no least upper bound for 'x0' and 'x1'"),
+    (antichain(2), "inf", "x0", "x1", "no greatest lower bound for 'x0' and 'x1'"),
+    (BOWTIE, "sup", "a", "b", "no least upper bound for 'a' and 'b'"),
+    (BOWTIE, "inf", "c", "d", "no greatest lower bound for 'c' and 'd'"),
+])
+def test_a_missing_bound_is_named_in_the_error(p, query, x, y, message):
+    with pytest.raises(NotALatticeError) as excinfo:
+        getattr(p, query)(x, y)
+    assert str(excinfo.value) == message
 
 
 def test_tuple_leq(abc_lattice):
