@@ -108,13 +108,11 @@ def _cmd_extend(args):
         print(emit_json(cm))
     else:
         print(f"mode: {cm.mode}")
-        domain_classes = domain_lin.classes_ascending()
-        codomain_classes = codomain_lin.classes_ascending()
+        domain_labels = [f"[{' '.join(c)}]" for c in domain_lin.classes_ascending()]
+        codomain_labels = [f"[{' '.join(c)}]" for c in codomain_lin.classes_ascending()]
         entries, monotone, antitone = cm._report()
         for key, value in entries:
-            src = " x ".join("[" + " ".join(domain_classes[r]) + "]" for r in key)
-            dst = "[" + " ".join(codomain_classes[value]) + "]"
-            print(f"{src} -> {dst}")
+            print(" x ".join(domain_labels[r] for r in key), "->", codomain_labels[value])
         print(f"monotone: {monotone}")
         print(f"antitone: {antitone}")
 

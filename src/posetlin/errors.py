@@ -55,7 +55,7 @@ class RanksNotOrderPreservingError(PosetlinError):
 
 
 class TooLargeError(PosetlinError):
-    """Input exceeds a hard size cap of an exhaustive routine."""
+    """Input exceeds a hard size cap: ``MAX_TABLE_ENTRIES`` or an oracle's cap."""
 
 
 class EmptyInputError(PosetlinError):

@@ -43,7 +43,7 @@ from math import lcm
 from .errors import EmptyInputError, ParseError, UnknownElementError
 from .levels import PRIMAL, Linearisation, _check_direction
 from .mappings import ClassMapping, MappingTable, _check_size
-from .poset import _indices, build_poset
+from .poset import build_poset
 
 _MAX_EXPONENT = 4300  # the int digit limit; Fraction("1e10000000") takes seconds
 _MAX_SCALE_BITS = 4096
@@ -87,10 +87,8 @@ def parse_poset(text):
 
 def render_poset(p):
     """Render a poset in the poset file format; inverse of :func:`parse_poset`."""
-    names = p.elements
-    lines = [f"elem {x}" for x in names]
-    for x, covers in zip(names, p._closure()[1]):
-        lines.extend(f"{x} < {names[j]}" for j in _indices(covers))
+    lines = [f"elem {x}" for x in p.elements]
+    lines.extend(f"{x} < {y}" for x, y in p._pairs(p._closure()[1]))
     return "\n".join(lines) + "\n"
 
 

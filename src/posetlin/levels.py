@@ -58,17 +58,10 @@ class Linearisation(namedtuple("Linearisation", "source direction levels class_o
         return self.rank(self.project(x))
 
     def compare(self, x, y):
-        """Compare two elements in the induced linear order.
-
-        Returns one of ``"less"``, ``"equal"`` or ``"greater"``.
-        """
-        rx = self.rank_of(x)
-        ry = self.rank_of(y)
-        if rx < ry:
-            return "less"
-        if rx > ry:
-            return "greater"
-        return "equal"
+        """How ``x`` compares with ``y`` in the induced linear order: ``"less"``,
+        ``"equal"`` or ``"greater"``."""
+        rx, ry = self.rank_of(x), self.rank_of(y)
+        return "less" if rx < ry else "greater" if rx > ry else "equal"
 
     def classes_ascending(self):
         """Classes as lists, least class first, members in declaration order."""
@@ -79,7 +72,7 @@ class Linearisation(namedtuple("Linearisation", "source direction levels class_o
 def compute_levels(p, direction=PRIMAL):
     """Compute the level decomposition of ``p`` in the given direction.
 
-    Implemented as longest-path layering over the cover relation, which
+    Implemented as longest-path layering over the generating pairs, which
     agrees with round-by-round stripping: an element's level is the length
     (in cover steps) of the longest chain from it to the stripped end.
     Raises ``EmptyPosetError`` on an empty poset.
@@ -123,6 +116,16 @@ def linearisations_equivalent(p):
     ``k`` elements, the decompositions coincide iff every element lies on a
     longest chain.  Equal maximal chain lengths force this coincidence, but
     not conversely: some maximal chain may be short (see ``satisfies_elcc``).
+
+    Coincidence is exactly when claim (ii) holds in all four direction and
+    mode pairs: then both directions give one ordered partition, so each mode
+    keeps both characters.  Otherwise take ``y`` with ``d(y) < r(y) = s``, for
+    ``r = k - 1 - u``, with ``s`` least; an ``x < y`` with ``r(x) = s - 1``
+    would have ``d(x) < d(y) <= r(x)``, against ``s`` least.  So the up-set
+    generated by rank ``s - 1`` misses ``y``: primal ``under`` takes its
+    monotone indicator ``P -> 2`` to 1 at rank ``s - 1`` and 0 at ``s``.  The
+    greatest ``d(y) = t`` and the complement of the down-set generated by dual
+    level ``t + 1`` refute dual ``over``; complements refute the other modes.
     """
     if len(p) == 0:
         raise EmptyPosetError("cannot linearise an empty poset")

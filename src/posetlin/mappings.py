@@ -23,6 +23,7 @@ from .errors import (
     TooLargeError,
     UnknownElementError,
 )
+from .levels import PRIMAL
 from .poset import _indices
 
 MODE_OVER = "over"
@@ -166,8 +167,9 @@ class ClassMapping(namedtuple("ClassMapping", "domain_lin codomain_lin arity mod
     """A mapping between the classes of two linearisations.
 
     ``ranks`` holds the codomain rank (0 = least class) at each tuple of domain
-    ranks, first argument most significant; ``table`` views it on access by
-    level indices, and ``cm(*level_indices)`` reads one value in O(arity).
+    ranks, first argument most significant.  ``table`` (built on access) and
+    ``cm(*level_indices)`` (in O(arity)) read it by level indices.  A primal
+    level is m - 1 minus its rank, so level slot s is ``ranks[m**arity - 1 - s]``.
     Monotonicity is judged on ranks, the ascending linear order of each side.
     """
 
@@ -177,15 +179,17 @@ class ClassMapping(namedtuple("ClassMapping", "domain_lin codomain_lin arity mod
     def table(self):
         """Read-only view by level indices, keys in product order."""
         keys = product(range(self.domain_lin.num_classes), repeat=self.arity)
-        return MappingProxyType({key: self(*key) for key in keys})
+        ranks = reversed(self.ranks) if self.domain_lin.direction == PRIMAL else self.ranks
+        return MappingProxyType(dict(zip(keys, map(self.codomain_lin.rank, ranks))))
 
     def __call__(self, *level_indices):
         m, slot = self.domain_lin.num_classes, 0
         if len(level_indices) != self.arity or not all(i in range(m) for i in level_indices):
             raise KeyError(level_indices)  # as a dict would, where ``rank`` raises ValueError
         for i in level_indices:
-            slot = slot * m + self.domain_lin.rank(i)
-        return self.codomain_lin.rank(self.ranks[slot])
+            slot = slot * m + i
+        backwards = self.domain_lin.direction == PRIMAL  # ranks[~slot] is ranks[m**arity-1-slot]
+        return self.codomain_lin.rank(self.ranks[~slot if backwards else slot])
 
     def ranked_table(self):
         """The table in ascending rank coordinates (0 = least class), sorted by key."""
@@ -253,9 +257,7 @@ def extend_all(tables, domain_lin, codomain_lin, mode):
     first = tables[0]
     for t in tables[1:]:
         if t.arity != first.arity:
-            raise MixedArityError(
-                f"components have arities {first.arity} and {t.arity}"
-            )
+            raise MixedArityError(f"components have arities {first.arity} and {t.arity}")
         if t.domain != first.domain or t.codomain != first.codomain:
             raise PosetMismatchError("components disagree on domain or codomain")
     return [extend(t, domain_lin, codomain_lin, mode) for t in tables]
@@ -305,13 +307,12 @@ def impossibility_witness(lattice, ranks):
             raise UnknownElementError(f"no rank given for element {x!r}")
     if not lattice.is_lattice():
         raise NotALatticeError("witness construction needs a lattice")
+    for x, y in lattice._pairs(lattice._closure()[0]):  # declaration order: the same pair every run
+        if not ranks[x] < ranks[y]:
+            raise RanksNotOrderPreservingError(
+                f"{x!r} < {y!r} but rank({x}) = {ranks[x]} >= rank({y}) = {ranks[y]}"
+            )
     names = lattice.elements
-    for x, up in zip(names, lattice._closure()[0]):  # declaration order: the same pair every run
-        for y in map(names.__getitem__, _indices(up)):
-            if not ranks[x] < ranks[y]:
-                raise RanksNotOrderPreservingError(
-                    f"{x!r} < {y!r} but rank({x}) = {ranks[x]} >= rank({y}) = {ranks[y]}"
-                )
     pair = next(((x, y) for i, x in enumerate(names) for y in names[i + 1 :]
                  if lattice.incomparable(x, y)), None)
     if pair is None:
@@ -328,17 +329,9 @@ def impossibility_witness(lattice, ranks):
         )
     else:
         case = "ordered"
-        bottom = lattice.minimal_elements()[0]
-
-        def image(x):
-            value = bottom
-            if lattice.leq(a, x):
-                value = lattice.sup(value, b)
-            if lattice.leq(b, x):
-                value = lattice.sup(value, a)
-            return value
-
-        table = {(x,): image(x) for x in lattice.elements}
+        image = {(True, True): lattice.sup(a, b), (True, False): b, (False, True): a,
+                 (False, False): lattice.minimal_elements()[0]}
+        table = {(x,): image[lattice.leq(a, x), lattice.leq(b, x)] for x in lattice.elements}
         violation = (
             f"rank({a}) = {ranks[a]} < rank({b}) = {ranks[b]}, yet the monotone "
             f"map with f({a}) = {b} and f({b}) = {a} gives "

@@ -226,10 +226,10 @@ def enumerate_maximal_chains(p):
     duplicate-free and sorted lexicographically by declaration order.
     """
     if len(p) > MAX_CHAIN_ENUMERATION:
-        raise TooLargeError(
-            f"chain enumeration is capped at {MAX_CHAIN_ENUMERATION} elements"
-        )
-    covers = {x: sorted(p.covers_above(x), key=p.position) for x in p.elements}
+        raise TooLargeError(f"chain enumeration is capped at {MAX_CHAIN_ENUMERATION} elements")
+    covers = {x: [] for x in p.elements}
+    for x, y in p._pairs(p._closure()[1]):  # declaration order
+        covers[x].append(y)
     chains = []
     for start in p.minimal_elements():
         _walk_chains(covers, [start], chains)

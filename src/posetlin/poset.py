@@ -183,18 +183,19 @@ class Poset:
         return layer
 
     def _pairs(self, rows):
+        """``(x, y)`` for each bit ``y`` of row ``x`` in ``rows``, in declaration order."""
         names = self.elements
-        return frozenset((x, names[j]) for x, bits in zip(names, rows) for j in _indices(bits))
+        return ((x, names[j]) for x, bits in zip(names, rows) for j in _indices(bits))
 
     @property
     def strict_pairs(self):
         """All pairs (x, y) with x < y, as a frozenset."""
-        return self._pairs(self._closure()[0])
+        return frozenset(self._pairs(self._closure()[0]))
 
     @property
     def cover_pairs(self):
         """All pairs (x, y) with y covering x, as a frozenset."""
-        return self._pairs(self._closure()[1])
+        return frozenset(self._pairs(self._closure()[1]))
 
     def _names(self, rows, x):
         """The names of the set bits of ``x``'s row in ``rows``, as a frozenset."""
@@ -233,16 +234,12 @@ class Poset:
         n = len(self.elements)
         return sum(map(int.bit_count, self._closure()[0])) == n * (n - 1) // 2
 
-    def maximal_elements(self, subset=None):
-        """Members of ``subset`` (default: all) with no strict upper bound in it."""
-        members = (1 << len(self.elements)) - 1 if subset is None else 0
-        for x in frozenset(subset or ()):
-            members |= 1 << self.position(x)
-        return tuple(x for i, (x, s) in enumerate(zip(self.elements, self._closure()[0]))
-                     if members >> i & 1 and not s & members)
+    def maximal_elements(self):
+        """Elements with no strict upper bound: those that start no generating pair."""
+        return tuple(x for x, succ in zip(self.elements, self._succ) if not succ)
 
-    def minimal_elements(self, subset=None):
-        return self._dual().maximal_elements(subset)
+    def minimal_elements(self):
+        return self._dual().maximal_elements()
 
     def longest_chain_length(self):
         """Maximum number of elements in a chain, via longest-path DP on the generating pairs."""

@@ -1,15 +1,17 @@
-"""Shared builders for the test suite: canned posets, seeded corpora,
-constructive generators for monotone and antitone tables, reference
-readers for the file formats, one logical line at a time, the CLI's
-earlier dispatch and file reader, the earlier pairwise form of
-``brute_levels``, longest cover walks from a list of covers, and
-class-mapping JSON composed from public calls."""
+"""Shared builders for the test suite: canned posets, seeded corpora, a
+seeded shuffle, constructive generators for monotone and antitone tables,
+the sandwich check on extensions, the up-set that refutes claim (ii) off
+coinciding decompositions, reference readers for the file formats, one
+logical line at a time, the CLI's earlier dispatch and file reader, the
+earlier pairwise form of ``brute_levels``, longest cover walks from a list
+of covers, and class-mapping JSON composed from public calls."""
 
 import sys
 from fractions import Fraction
 from itertools import product
 
 from posetlin import (
+    DUAL,
     PRIMAL,
     EmptyPosetError,
     Linearisation,
@@ -19,8 +21,10 @@ from posetlin import (
     ScoredItem,
     SplitMix64,
     TooLargeError,
+    brute_levels,
     build_poset,
     cli,
+    extend,
     random_poset,
 )
 from posetlin.formats import canonical_json
@@ -176,6 +180,58 @@ def random_table(domain, codomain, seed, arity=1):
             for key in product(domain.elements, repeat=arity)
         },
     )
+
+
+def sandwiched(table, domain_lin, codomain_lin):
+    """True iff the class of every ``table`` value lies between the under- and
+    over-extensions at its argument classes."""
+    over = extend(table, domain_lin, codomain_lin, "over")
+    under = extend(table, domain_lin, codomain_lin, "under")
+    for xs in product(table.domain.elements, repeat=table.arity):
+        key = tuple(domain_lin.class_of[x] for x in xs)
+        middle = codomain_lin.rank(codomain_lin.class_of[table.table[xs]])
+        if not (
+            codomain_lin.rank(under.table[key])
+            <= middle
+            <= codomain_lin.rank(over.table[key])
+        ):
+            return False
+    return True
+
+
+def shuffled(rng, items):
+    """A Fisher-Yates shuffle of ``items`` by ``rng``, as a new list."""
+    items = list(items)
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.below(i + 1)
+        items[i], items[j] = items[j], items[i]
+    return items
+
+
+def coincidence_witness(p, direction=PRIMAL):
+    """``(up_set, direction, mode)`` such that extending the indicator
+    ``P -> 2`` of ``up_set`` in that direction and mode gives a map that is not
+    monotone, or None when the primal and dual decompositions coincide.
+
+    With ``u`` and ``d`` the primal and dual levels of ``brute_levels`` and
+    ``r = k - 1 - u`` the primal rank, an element ``y`` is off a longest chain
+    iff ``d(y) < r(y)``.  PRIMAL takes such a ``y`` of least rank ``s`` and the
+    up-set generated by rank ``s - 1``, refuted by ``under``; DUAL takes the
+    greatest such ``d(y) = t`` and everything outside the down-set generated
+    by dual level ``t + 1``, refuted by ``over``.
+    """
+    primal, d = brute_levels(p, PRIMAL), brute_levels(p, DUAL).class_of
+    r = {x: primal.num_classes - 1 - u for x, u in primal.class_of.items()}
+    off = [y for y in p.elements if d[y] < r[y]]
+    if not off:
+        return None
+    if direction == PRIMAL:
+        s = min(r[y] for y in off)
+        rim = [x for x in p.elements if r[x] == s - 1]
+        return frozenset(y for y in p.elements if any(p.leq(x, y) for x in rim)), PRIMAL, "under"
+    t = max(d[y] for y in off)
+    rim = [x for x in p.elements if d[x] == t + 1]
+    return frozenset(y for y in p.elements if not any(p.leq(y, x) for x in rim)), DUAL, "over"
 
 
 def cover_walk_layers(elements, covers, upward):

@@ -36,6 +36,7 @@ from helpers import (
     grid_poset,
     random_antitone_table,
     random_monotone_table,
+    sandwiched,
 )
 
 
@@ -221,7 +222,7 @@ def test_criterion_05_mapping_preservation_suite():
                         failures.append(f"pair {i} table {t} codomain {cdir}: {label} broken")
                 for table in (monotone, antitone):
                     for ddir in (PRIMAL, DUAL):
-                        if not _sandwiched(table, lins[(ddir, "dom")], clin):
+                        if not sandwiched(table, lins[(ddir, "dom")], clin):
                             failures.append(f"pair {i} table {t}: sandwich broken ({ddir},{cdir})")
     if table_count < 2000:
         failures.append(f"only {table_count} unary tables were generated")
@@ -245,24 +246,9 @@ def test_criterion_05_mapping_preservation_suite():
             if not extend(antitone, dlin, clin, "under").is_antitone():
                 failures.append(f"arity-2 pair {i} table {t}: under extension lost antitonicity")
             for table in (monotone, antitone):
-                if not _sandwiched(table, dlin, clin):
+                if not sandwiched(table, dlin, clin):
                     failures.append(f"arity-2 pair {i} table {t}: sandwich broken")
     _criterion(5, "sandwich and all four preservation laws, zero failures", failures)
-
-
-def _sandwiched(table, domain_lin, codomain_lin):
-    over = extend(table, domain_lin, codomain_lin, "over")
-    under = extend(table, domain_lin, codomain_lin, "under")
-    for xs in product(table.domain.elements, repeat=table.arity):
-        key = tuple(domain_lin.class_of[x] for x in xs)
-        middle = codomain_lin.rank(codomain_lin.class_of[table.table[xs]])
-        if not (
-            codomain_lin.rank(under.table[key])
-            <= middle
-            <= codomain_lin.rank(over.table[key])
-        ):
-            return False
-    return True
 
 
 def test_criterion_06_elcc_corollary_on_graded_lattices():

@@ -11,6 +11,8 @@ from posetlin import (
     DUAL,
     PRIMAL,
     ArityMismatchError,
+    ClassMapping,
+    Linearisation,
     LinearLatticeError,
     MappingTable,
     MissingTupleError,
@@ -22,6 +24,8 @@ from posetlin import (
     TooLargeError,
     UnknownElementError,
     brute_extend,
+    brute_levels,
+    brute_order,
     brute_preserves,
     build_poset,
     compute_levels,
@@ -29,6 +33,7 @@ from posetlin import (
     extend,
     extend_all,
     impossibility_witness,
+    linearisations_equivalent,
     random_poset,
 )
 from posetlin.mappings import MODES
@@ -37,14 +42,18 @@ from helpers import (
     CAP_REJECTED,
     EDGE_PROBS,
     antichain,
+    boolean_lattice_3,
     cap_message,
     chain,
+    coincidence_witness,
     corpus,
     emit_class_mapping_composed,
     grid_poset,
+    naturally_labelled_posets,
     random_antitone_table,
     random_monotone_table,
     random_table,
+    sandwiched,
 )
 
 
@@ -268,29 +277,12 @@ SMALL = [p for p in corpus(60, max_size=6, seed_base=7000)]
 PAIRS = [(SMALL[i], SMALL[(i + 11) % len(SMALL)]) for i in range(len(SMALL))]
 
 
-def _sandwich_holds(table, domain_lin, codomain_lin):
-    over = extend(table, domain_lin, codomain_lin, "over")
-    under = extend(table, domain_lin, codomain_lin, "under")
-    from itertools import product
-
-    for xs in product(table.domain.elements, repeat=table.arity):
-        key = tuple(domain_lin.class_of[x] for x in xs)
-        middle = codomain_lin.rank(codomain_lin.class_of[table.table[xs]])
-        if not (
-            codomain_lin.rank(under.table[key])
-            <= middle
-            <= codomain_lin.rank(over.table[key])
-        ):
-            return False
-    return True
-
-
 def test_under_and_over_extensions_sandwich_every_table():
     for i, (dom, cod) in enumerate(PAIRS):
         table = random_table(dom, cod, seed=300 + i)
         for ddir in (PRIMAL, DUAL):
             for cdir in (PRIMAL, DUAL):
-                assert _sandwich_holds(
+                assert sandwiched(
                     table, compute_levels(dom, ddir), compute_levels(cod, cdir)
                 )
 
@@ -299,7 +291,7 @@ def test_sandwich_holds_for_binary_tables_too():
     small_pairs = [(d, c) for d, c in PAIRS if len(d) <= 4][:10]
     for i, (dom, cod) in enumerate(small_pairs):
         table = random_table(dom, cod, seed=800 + i, arity=2)
-        assert _sandwich_holds(
+        assert sandwiched(
             table, compute_levels(dom, PRIMAL), compute_levels(cod, PRIMAL)
         )
 
@@ -309,7 +301,7 @@ def test_sandwich_holds_for_ternary_tables_too():
     for i, (dom, cod) in enumerate(small_pairs):
         table = random_table(dom, cod, seed=850 + i, arity=3)
         for ddir, cdir in product(DIRECTIONS, DIRECTIONS):
-            assert _sandwich_holds(table, compute_levels(dom, ddir), compute_levels(cod, cdir))
+            assert sandwiched(table, compute_levels(dom, ddir), compute_levels(cod, cdir))
 
 
 def test_preservation_of_monotone_and_antitone_tables():
@@ -630,3 +622,100 @@ def test_table_checks_agree_with_the_pairwise_scan_in_either_order(arity, seed, 
     second = MappingTable(dom, arity, cod, entries)
     backward = second.is_antitone(), second.is_monotone()
     assert forward == backward[::-1] == expected
+
+
+def test_class_mapping_views_read_ranks_with_no_round_trip(monkeypatch):
+    """``cm.table`` and ``cm(*levels)`` read ``ranks`` by one slot each: no
+    ``ClassMapping.__call__`` per entry and no domain ``Linearisation.rank``,
+    and both equal the per-digit definition, under all four direction pairs."""
+    dom, cod = grid_poset(2, 3), grid_poset(2, 2)
+    cases = []
+    for i, (ddir, cdir) in enumerate(product(DIRECTIONS, DIRECTIONS)):
+        dlin, clin = compute_levels(dom, ddir), compute_levels(cod, cdir)
+        cm = extend(random_table(dom, cod, seed=700 + i, arity=2), dlin, clin, "over")
+        m = dlin.num_classes
+        definition = {  # each level index through the domain's rank, digit by digit
+            key: clin.rank(cm.ranks[dlin.rank(key[0]) * m + dlin.rank(key[1])])
+            for key in product(range(m), repeat=2)
+        }
+        assert len(set(definition.values())) > 1, (ddir, cdir)  # an order to get wrong
+        cases.append((cm, definition))
+    calls = []
+    call, rank = ClassMapping.__call__, Linearisation.rank
+    monkeypatch.setattr(ClassMapping, "__call__", lambda cm, *key: calls.append("call") or call(cm, *key))
+    monkeypatch.setattr(Linearisation, "rank", lambda lin, i: calls.append(lin.source) or rank(lin, i))
+    for cm, definition in cases:
+        assert dict(cm.table) == definition
+        assert calls == [cod] * len(definition)  # one codomain rank per entry, nothing else
+        for key, value in definition.items():
+            calls.clear()
+            assert cm(*key) == value
+            assert calls == ["call", cod]
+        calls.clear()
+
+
+def _sup_chain_map(lattice, a, b):
+    """The ordered witness map as first written: ``sup`` chained from the bottom."""
+    image = {}
+    for x in lattice.elements:
+        value = lattice.minimal_elements()[0]
+        if lattice.leq(a, x):
+            value = lattice.sup(value, b)
+        if lattice.leq(b, x):
+            value = lattice.sup(value, a)
+        image[x] = value
+    return image
+
+
+def test_the_ordered_witness_map_is_the_sup_chain_map():
+    pairs = set()
+    for lattice in (boolean_lattice_3(), grid_poset(3, 3), grid_poset(2, 4), grid_poset(2, 2)):
+        for sign in (1, -1):  # two linear extensions; distinct ranks give the ordered case
+            order = sorted(lattice, key=lambda x: (len(lattice.below(x)), sign * lattice.position(x)))
+            witness = impossibility_witness(lattice, {x: i for i, x in enumerate(order)})
+            assert witness.case == "ordered"
+            image = {x: witness.witness_map(x) for x in lattice.elements}
+            assert image == _sup_chain_map(lattice, *witness.pair), (lattice, sign)
+            pairs.add((len(lattice), witness.pair))
+    assert len(pairs) == 8  # each lattice's pair, in both orientations
+
+
+TWO = build_poset(["0", "1"], [("0", "1")])
+
+
+def _extension_ranks(p, up_set, direction, mode):
+    """Class ranks of the brute-force extension of ``up_set``'s indicator P -> 2."""
+    indicator = MappingTable(p, 1, TWO, {(x,): "1" if x in up_set else "0" for x in p.elements})
+    return brute_extend(indicator, brute_levels(p, direction), brute_levels(TWO), mode).ranks
+
+
+def test_claim_ii_holds_in_all_four_pairs_iff_the_decompositions_coincide():
+    """Claim (ii) stated exactly (the proof is in ``linearisations_equivalent``),
+    on every naturally labelled poset up to six elements: a witness exists iff
+    the decompositions differ, and both witnesses are up-sets whose indicator
+    extends to falling ranks.  On the coinciding posets up to five elements,
+    every up-set indicator extends to rising ranks in all four pairs."""
+    refuted = coinciding = extensions = 0
+    for elements, pairs in naturally_labelled_posets(6):
+        p = build_poset(elements, pairs)
+        strict = brute_order(elements, pairs)[0]
+        witnesses = [coincidence_witness(p, direction) for direction in (PRIMAL, DUAL)]
+        assert (witnesses == [None, None]) == linearisations_equivalent(p), (elements, pairs)
+        if witnesses[0] is not None:
+            refuted += 1
+            for (up_set, direction, mode), expected in zip(witnesses, ((PRIMAL, "under"), (DUAL, "over"))):
+                assert (direction, mode) == expected
+                assert all(y in up_set for x, y in strict if x in up_set), (elements, pairs)
+                ranks = _extension_ranks(p, up_set, direction, mode)
+                assert list(ranks) != sorted(ranks), (elements, pairs, direction)
+        elif len(elements) <= 5:
+            coinciding += 1
+            for bits in range(1 << len(elements)):
+                up_set = {x for i, x in enumerate(elements) if bits >> i & 1}
+                if any(y not in up_set for x, y in strict if x in up_set):
+                    continue
+                for direction, mode in product(DIRECTIONS, MODES):
+                    ranks = _extension_ranks(p, up_set, direction, mode)
+                    assert list(ranks) == sorted(ranks), (elements, pairs, up_set, direction, mode)
+                    extensions += 1
+    assert (refuted, coinciding, extensions) == (4089, 123, 5664)

@@ -14,6 +14,7 @@ from pathlib import Path
 
 from posetlin import SplitMix64
 from posetlin.cli import main
+from helpers import shuffled
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -29,14 +30,6 @@ def _load_reference():
 
 
 ref = _load_reference()
-
-
-def shuffled(rng, items):
-    items = list(items)
-    for i in range(len(items) - 1, 0, -1):
-        j = rng.below(i + 1)
-        items[i], items[j] = items[j], items[i]
-    return items
 
 
 def random_dag(seed, n, shape, bounded):
