@@ -56,12 +56,10 @@ def _cmd_levels(args):
     direction = DUAL if args.dual else PRIMAL
     lin = compute_levels(p, direction)
     if args.oracle:
-        reference = brute_levels(p, direction).class_of
-        for x in p.elements:
-            if lin.class_of[x] != reference[x]:
-                raise OracleMismatchError(
-                    f"level of {x!r} is {lin.class_of[x]}, brute force gives {reference[x]}"
-                )
+        reference = brute_levels(p, direction).layer
+        for x, got, want in zip(p.elements, lin.layer, reference):
+            if got != want:
+                raise OracleMismatchError(f"level of {x!r} is {got}, brute force gives {want}")
     if args.json:
         print(emit_json(lin))
     else:

@@ -5,7 +5,8 @@ remains, and so on, partitions the carrier into antichain levels; the level
 index orders the quotient linearly.  The primal direction strips maximal
 elements (level 0 is the top layer), the dual direction strips minimal
 elements (level 0 is the bottom layer).  Both directions produce exactly
-``longest_chain_length`` levels.
+``longest_chain_length`` levels.  A ``Linearisation`` stores one level index
+per element; its level sets and its classes are read from that on access.
 """
 
 from collections import namedtuple
@@ -23,13 +24,12 @@ def _check_direction(direction):
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
 
 
-class Linearisation(namedtuple("Linearisation", "source direction levels class_of")):
-    """An ordered partition of a poset into levels.
-
-    ``levels[i]`` is the set stripped at round ``i``, so for the primal
-    direction index 0 holds the maximal elements and greater indices sit
-    lower in the original order, while for the dual direction index 0 holds
-    the minimal elements.  ``class_of`` maps each element to its level index.
+class Linearisation(namedtuple("Linearisation", "source direction layer num_classes")):
+    """An ordered partition of a poset into levels: ``layer[i]`` is the round,
+    of ``num_classes``, that strips the ``i``-th declared element.  For the
+    primal direction level 0 holds the maximal elements and greater levels sit
+    lower in the original order; for the dual, level 0 holds the minimal
+    elements.  ``levels``, the level sets by index, is built on each access.
     The induced linear order always reads smallest class first; use
     :meth:`rank` to translate a level index into that ascending order.
     """
@@ -37,20 +37,21 @@ class Linearisation(namedtuple("Linearisation", "source direction levels class_o
     __slots__ = ()
 
     @property
-    def num_classes(self):
-        return len(self.levels)
+    def levels(self):
+        """``levels[i]``, the frozenset stripped at round ``i``; built on each access."""
+        classes = self.classes_ascending()
+        return tuple([frozenset(c) for c in (classes if self.direction == DUAL else classes[::-1])])
 
     def project(self, x):
         """Level index of ``x``."""
-        self.source.position(x)  # rejects an unknown element
-        return self.class_of[x]
+        return self.layer[self.source.position(x)]  # rejects an unknown element
 
     def rank(self, level_index):
         """Position of a level in the ascending linear order (0 = least class).
         Its own inverse on ``range(num_classes)``, so it also turns a rank back
-        into a level index; any other index raises ``ValueError``."""
-        m = len(self.levels)
-        if level_index not in range(m):
+        into a level index; anything but an ``int`` in it raises ``ValueError``."""
+        m = self.num_classes
+        if not (isinstance(level_index, int) and level_index in range(m)):
             raise ValueError(f"level index must be in range({m}), got {level_index!r}")
         return m - 1 - level_index if self.direction == PRIMAL else level_index
 
@@ -64,9 +65,11 @@ class Linearisation(namedtuple("Linearisation", "source direction levels class_o
         return "less" if rx < ry else "greater" if rx > ry else "equal"
 
     def classes_ascending(self):
-        """Classes as lists, least class first, members in declaration order."""
-        ordered = self.levels if self.direction == DUAL else tuple(reversed(self.levels))
-        return [sorted(level, key=self.source._pos.__getitem__) for level in ordered]
+        """Classes as lists, least class first, members in declaration order; O(n), no sort."""
+        classes = [[] for _ in range(self.num_classes)]
+        for x, k in zip(self.source.elements, self.layer):
+            classes[k].append(x)
+        return classes if self.direction == DUAL else classes[::-1]
 
 
 def compute_levels(p, direction=PRIMAL):
@@ -81,10 +84,7 @@ def compute_levels(p, direction=PRIMAL):
     if len(p) == 0:
         raise EmptyPosetError("cannot linearise an empty poset")
     layer = (p if direction == PRIMAL else p._dual())._layers()
-    bins = [[] for _ in range(1 + max(layer))]
-    for x, k in zip(p.elements, layer):
-        bins[k].append(x)
-    return Linearisation(p, direction, tuple(map(frozenset, bins)), dict(zip(p.elements, layer)))
+    return Linearisation(p, direction, tuple(layer), 1 + max(layer))
 
 
 def satisfies_elcc(p):

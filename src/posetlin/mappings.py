@@ -184,8 +184,9 @@ class ClassMapping(namedtuple("ClassMapping", "domain_lin codomain_lin arity mod
 
     def __call__(self, *level_indices):
         m, slot = self.domain_lin.num_classes, 0
-        if len(level_indices) != self.arity or not all(i in range(m) for i in level_indices):
-            raise KeyError(level_indices)  # as a dict would, where ``rank`` raises ValueError
+        if len(level_indices) != self.arity or not all(
+                isinstance(i, int) and i in range(m) for i in level_indices):
+            raise KeyError(level_indices)  # only ints in range(m) index; ``rank`` raises ValueError
         for i in level_indices:
             slot = slot * m + i
         backwards = self.domain_lin.direction == PRIMAL  # ranks[~slot] is ranks[m**arity-1-slot]
@@ -231,13 +232,13 @@ def extend(table, domain_lin, codomain_lin, mode):
     if codomain_lin.source != table.codomain:
         raise PosetMismatchError("codomain linearisation built from a different poset")
     m, arity = domain_lin.num_classes, table.arity
-    classes = list(map(domain_lin.rank_of, table.domain.elements))
+    classes = list(map(domain_lin.rank, domain_lin.layer))
     class_slots = [0]
     for _ in range(arity):
         class_slots = [c * m + d for c in class_slots for d in classes]
     # "under" keeps the greatest negated rank; every signed rank beats -num_classes
     sign = 1 if mode == MODE_OVER else -1
-    signed = [sign * codomain_lin.rank_of(y) for y in table.codomain.elements]
+    signed = [sign * r for r in map(codomain_lin.rank, codomain_lin.layer)]
     best = [-codomain_lin.num_classes] * m**arity
     for c, r in zip(class_slots, map(signed.__getitem__, table._values)):
         if r > best[c]:

@@ -71,17 +71,17 @@ def brute_levels(p, direction=PRIMAL):
     if len(p) > MAX_BRUTE_LEVELS:
         raise TooLargeError(f"brute_levels is capped at {MAX_BRUTE_LEVELS} elements")
     strict = {x: p.above(x) if direction == PRIMAL else p.below(x) for x in p.elements}
-    left = list(p.elements)
-    levels = []
+    level_of, rounds, left = {}, 0, list(p.elements)
     while left:
         remainder = set(left)
-        level = frozenset(x for x in left if strict[x].isdisjoint(remainder))
+        level = [x for x in left if strict[x].isdisjoint(remainder)]
         if not level:
             raise RuntimeError("level construction stalled on a non-empty remainder")
-        levels.append(level)
-        left = [x for x in left if x not in level]
-    class_of = {x: i for i, level in enumerate(levels) for x in level}
-    return Linearisation(p, direction, tuple(levels), class_of)
+        level_of.update(dict.fromkeys(level, rounds))
+        rounds += 1
+        left = [x for x in left if x not in level_of]
+    # from a list: a tuple(map(...)) here raised the peak RSS of a run of oracle requests
+    return Linearisation(p, direction, tuple([level_of[x] for x in p.elements]), rounds)
 
 
 def brute_order(elements, pairs):
@@ -151,9 +151,9 @@ def brute_extend(table, domain_lin, codomain_lin, mode):
         raise TooLargeError(f"brute_extend is capped at {MAX_BRUTE_TABLE} table entries")
     entries = table.table
     pick = max if mode == MODE_OVER else min
-    out = []
+    levels, out = domain_lin.levels, []
     for key in product(range(domain_lin.num_classes), repeat=table.arity):
-        members = product(*(domain_lin.levels[domain_lin.rank(r)] for r in key))
+        members = product(*(levels[domain_lin.rank(r)] for r in key))
         out.append(pick({codomain_lin.rank_of(entries[xs]) for xs in members}))
     return ClassMapping(domain_lin, codomain_lin, table.arity, mode, tuple(out))
 

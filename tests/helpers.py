@@ -188,8 +188,8 @@ def sandwiched(table, domain_lin, codomain_lin):
     over = extend(table, domain_lin, codomain_lin, "over")
     under = extend(table, domain_lin, codomain_lin, "under")
     for xs in product(table.domain.elements, repeat=table.arity):
-        key = tuple(domain_lin.class_of[x] for x in xs)
-        middle = codomain_lin.rank(codomain_lin.class_of[table.table[xs]])
+        key = tuple(domain_lin.project(x) for x in xs)
+        middle = codomain_lin.rank(codomain_lin.project(table.table[xs]))
         if not (
             codomain_lin.rank(under.table[key])
             <= middle
@@ -220,8 +220,9 @@ def coincidence_witness(p, direction=PRIMAL):
     greatest such ``d(y) = t`` and everything outside the down-set generated
     by dual level ``t + 1``, refuted by ``over``.
     """
-    primal, d = brute_levels(p, PRIMAL), brute_levels(p, DUAL).class_of
-    r = {x: primal.num_classes - 1 - u for x, u in primal.class_of.items()}
+    primal, dual = brute_levels(p, PRIMAL), brute_levels(p, DUAL)
+    d = {x: dual.project(x) for x in p.elements}
+    r = {x: primal.num_classes - 1 - primal.project(x) for x in p.elements}
     off = [y for y in p.elements if d[y] < r[y]]
     if not off:
         return None
@@ -484,5 +485,5 @@ def brute_levels_pairwise(p, direction=PRIMAL):
             raise RuntimeError("level construction stalled on a non-empty remainder")
         levels.append(level)
         assigned |= level
-    class_of = {x: i for i, level in enumerate(levels) for x in level}
-    return Linearisation(p, direction, tuple(levels), class_of)
+    level_of = {x: i for i, level in enumerate(levels) for x in level}
+    return Linearisation(p, direction, tuple([level_of[x] for x in p.elements]), len(levels))

@@ -96,6 +96,25 @@ def test_levels_dual_json_output(files, capsys):
     assert out.strip() == '{"direction":"dual","classes":[["bot"],["a","c"],["b"],["top"]]}'
 
 
+# z and a share the primal level, w and a the dual one; the declared order of
+# each pair is neither their name order nor the order Kahn's sort lists them in
+UNSORTED_FILE = "elem top\nelem z\nelem w\nelem a\nw < z\nz < top\na < top\n"
+
+
+@pytest.mark.parametrize(
+    "flags, classes",
+    [([], [["w"], ["z", "a"], ["top"]]), (["--dual"], [["w", "a"], ["z"], ["top"]])],
+)
+def test_levels_list_class_members_in_declaration_order(files, capsys, flags, classes):
+    poset = files("unsorted.poset", UNSORTED_FILE)
+    direction = "dual" if flags else "primal"
+    code, out, _ = run(capsys, "levels", poset, "--json", *flags)
+    assert (code, out) == (0, json.dumps({"direction": direction, "classes": classes},
+                                         separators=(",", ":")) + "\n")
+    code, out, _ = run(capsys, "levels", poset, *flags)
+    assert (code, out) == (0, "".join(f"{i}: {' '.join(c)}\n" for i, c in enumerate(classes)))
+
+
 def test_levels_oracle_cross_check(files, capsys):
     poset = files("abc.poset", ABC_FILE)
     code, _, _ = run(capsys, "levels", poset, "--oracle")
@@ -108,8 +127,8 @@ def test_levels_oracle_mismatch_names_the_first_differing_element(files, capsys,
 
     def perturbed(p, direction):
         lin = brute_levels(p, direction)
-        class_of = {**lin.class_of, "c": 2, "top": 3}
-        return Linearisation(lin.source, lin.direction, lin.levels, class_of)
+        layer = tuple([{"c": 2, "top": 3}.get(x, k) for x, k in zip(p.elements, lin.layer)])
+        return Linearisation(lin.source, lin.direction, layer, lin.num_classes)
 
     monkeypatch.setattr(cli, "brute_levels", perturbed)
     code, out, err = run(capsys, "levels", poset, "--oracle")

@@ -198,7 +198,7 @@ def test_graded_identity_under_elcc():
             primal, dual = _lins(p)
             k = primal.num_classes
             for x in p.elements:
-                assert primal.class_of[x] == (k - 1) - dual.class_of[x]
+                assert primal.project(x) == (k - 1) - dual.project(x)
 
 
 def test_linear_posets_reproduce_their_own_order():

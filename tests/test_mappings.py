@@ -1,5 +1,6 @@
 """Mapping tables, class extension, and impossibility witnesses."""
 
+import re
 from itertools import product
 
 import pytest
@@ -477,6 +478,18 @@ def test_calling_a_class_mapping_outside_its_classes_raises_key_error(abc_lattic
         for levels in wrong_arity + [(*inside, -1), (*inside, m), (-1,) * arity]:
             with pytest.raises(KeyError):
                 cm(*levels)
+
+
+@pytest.mark.parametrize("direction", DIRECTIONS)
+@pytest.mark.parametrize("index", [1.0, 1.5, -1, "0"])
+def test_a_level_index_that_is_not_an_int_in_range_is_rejected(direction, index):
+    p = build_poset(["a", "b"], [("a", "b")])
+    lin = compute_levels(p, direction)
+    cm = extend(MappingTable(p, 1, p, {("a",): "a", ("b",): "b"}), lin, lin, "over")
+    with pytest.raises(ValueError, match=re.escape(f"range(2), got {index!r}")):
+        lin.rank(index)
+    with pytest.raises(KeyError):
+        cm(index)
 
 
 def test_table_view_is_read_only_and_in_declaration_order(abc_lattice):

@@ -152,8 +152,8 @@ def test_brute_extend_on_the_worked_example(abc_lattice):
     lin = compute_levels(abc_lattice, PRIMAL)
     over = brute_extend(table, lin, lin, "over")
     under = brute_extend(table, lin, lin, "under")
-    bc = lin.class_of["b"]
-    assert (over(bc), under(bc)) == (lin.class_of["top"], lin.class_of["c"])
+    bc = lin.project("b")
+    assert (over(bc), under(bc)) == (lin.project("top"), lin.project("c"))
     assert over.mode == "over" and over.arity == 1
 
 
