@@ -40,7 +40,7 @@ from fractions import Fraction
 from itertools import islice
 from math import lcm
 
-from .errors import EmptyInputError, ParseError, UnknownElementError
+from .errors import DuplicateElementError, EmptyInputError, ParseError, UnknownElementError
 from .levels import PRIMAL, Linearisation, _check_direction
 from .mappings import ClassMapping, MappingTable, _check_size
 from .poset import build_poset
@@ -49,16 +49,12 @@ _MAX_EXPONENT = 4300  # the int digit limit; Fraction("1e10000000") takes second
 _MAX_SCALE_BITS = 4096
 
 
-def _check_token(name, lineno):
-    if "<" in name:
-        raise ParseError(f"invalid element name {name!r}", lineno)
-
-
 def parse_poset(text):
-    """Parse a poset file in one pass and hand its names and pairs to :func:`build_poset`."""
-    first = {}  # names in order of first appearance
-    again = []  # names of repeated ``elem`` lines, left for build_poset to reject
-    pairs = []
+    """Parse a poset file in one pass, O(lines) with one dict lookup per name occurrence:
+    a name gets its index when first seen, and edge lines grow the generating lists.  The
+    first malformed line raises first, then the first repeated ``elem`` line, then a cycle."""
+    pos, succ, pred = {}, [], []  # name -> index by first appearance; generating lists
+    again = None  # the name of the first repeated ``elem`` line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0] if "#" in raw else raw
         fields = line.split()
@@ -68,21 +64,39 @@ def parse_poset(text):
         if len(fields) == 3 and fields[1] == "<":
             lower, _, upper = fields
             if "<" in lower or "<" in upper:
-                _check_token(lower, lineno)
-                _check_token(upper, lineno)
-            first[lower] = first[upper] = None
-            pairs.append((lower, upper))
+                bad = lower if "<" in lower else upper
+                raise ParseError(f"invalid element name {bad!r}", lineno)
+            i = pos.get(lower)
+            if i is None:
+                i = pos[lower] = len(succ)
+                succ.append([])
+                pred.append([])
+            j = pos.get(upper)
+            if j is None:
+                j = pos[upper] = len(succ)
+                succ.append([])
+                pred.append([])
+            succ[i].append(j)
+            pred[j].append(i)
         elif fields[0] == "elem":
             if len(fields) != 2:
                 raise ParseError("expected 'elem NAME'", lineno)
             name = fields[1]
-            _check_token(name, lineno)
-            if name in first:
-                again.append(name)
-            first[name] = None
+            if "<" in name:
+                raise ParseError(f"invalid element name {name!r}", lineno)
+            if name in pos:
+                again = again or name
+            else:
+                pos[name] = len(succ)
+                succ.append([])
+                pred.append([])
         else:
             raise ParseError(f"unrecognised line {line.strip()!r}", lineno)
-    return build_poset([*first, *again], pairs)
+    if again is not None:
+        raise DuplicateElementError(f"duplicate element {again!r}")
+    # each name is a str.split() field of a line cut at "#" and holds no "<", so it is
+    # non-empty and free of whitespace, "<" and "#": build_poset's name checks would pass
+    return build_poset((), (), _resolved=(list(pos), pos, succ, pred))
 
 
 def render_poset(p):

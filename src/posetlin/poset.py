@@ -1,18 +1,18 @@
 """Finite posets with a validated strict order and its cover relation.
 
-Elements are numbered 0..n-1 in declaration order.  A poset keeps its
-generating pairs as successor and predecessor lists, in one topological
-order; levels and the longest chain walk them in O(n + pairs) steps and no
-bitsets.  The first upward order query adds the closure, two lists of
-``int`` bitsets: bit ``j`` of ``up[i]`` is set iff element ``i`` is strictly
-below element ``j``, and ``cover_up`` holds the upper covers (the transitive
-reduction).  Every downward query asks the dual poset, built on first use
-over the same elements with the generating lists swapped, whose upward half
-is this poset's downward one.  So ``levels`` and ``equiv`` build no closure,
-``elcc`` builds the upper half, ``check`` both, and a table check the
-domain's upper half with the codomain's upper half (``is_monotone``) or its
-dual's (``is_antitone``).  Order queries are bit tests; sets of names are
-built only at the API edge, on each call.  Every derived listing follows
+Elements are numbered 0..n-1 in declaration order (``parse_poset`` numbers them
+as it reads).  A poset keeps its generating pairs as successor and predecessor
+lists, in one topological order; levels and the longest chain walk them in
+O(n + pairs) steps and no bitsets.  The first upward order query adds the
+closure, two lists of ``int`` bitsets: bit ``j`` of ``up[i]`` is set iff
+element ``i`` is strictly below element ``j``, and ``cover_up`` holds the upper
+covers (the transitive reduction).  Every downward query asks the dual poset,
+built on first use over the same elements with the generating lists swapped,
+whose upward half is this poset's downward one.  So ``levels`` and ``equiv``
+build no closure, ``elcc`` builds the upper half, ``check`` both, and a table
+check the domain's upper half with the codomain's upper half (``is_monotone``)
+or its dual's (``is_antitone``).  Order queries are bit tests; sets of names
+are built only at the API edge, on each call.  Every derived listing follows
 declaration order.
 """
 
@@ -63,33 +63,39 @@ def _on_cycle(i, succ):
     return False
 
 
-def build_poset(elements, pairs):
+def build_poset(elements, pairs, *, _resolved=None):
     """Construct a poset from declared elements and any generating set of its
     strict pairs: the order is their transitive closure, the cover relation its
     transitive reduction.  Raises ``ValueError`` on a bad name, then
     ``DuplicateElementError``, ``UnknownElementError``, or ``CycleError``
     naming the first declared element on a cycle; one Kahn topological sort
     checks the pairs.
+
+    Package-internal: ``_resolved=(names, pos, succ, pred)`` stands in, unchecked, for
+    ``elements`` and ``pairs``: valid distinct names, ``pos[names[i]] == i``, the lists.
     """
-    names = list(elements)
-    pos = {}
-    for name in names:
-        if not isinstance(name, str) or not name:
-            raise ValueError(f"element name must be a non-empty string, got {name!r}")
-        if name.split() != [name] or "<" in name or "#" in name:  # split() breaks at isspace()
-            raise ValueError(f"element name may not contain whitespace, '<' or '#': {name!r}")
-        if name in pos:
-            raise DuplicateElementError(f"duplicate element {name!r}")
-        pos[name] = len(pos)
-    succ, pred = [[] for _ in names], [[] for _ in names]
-    for x, y in pairs:
-        try:
-            i, j = pos[x], pos[y]
-        except KeyError:
-            name = y if x in pos else x
-            raise UnknownElementError(f"unknown element {name!r} in pair ({x!r}, {y!r})") from None
-        succ[i].append(j)
-        pred[j].append(i)
+    if _resolved is None:
+        names = list(elements)
+        pos = {}
+        for name in names:
+            if not isinstance(name, str) or not name:
+                raise ValueError(f"element name must be a non-empty string, got {name!r}")
+            if name.split() != [name] or "<" in name or "#" in name:  # split() breaks at isspace()
+                raise ValueError(f"element name may not contain whitespace, '<' or '#': {name!r}")
+            if name in pos:
+                raise DuplicateElementError(f"duplicate element {name!r}")
+            pos[name] = len(pos)
+        succ, pred = [[] for _ in names], [[] for _ in names]
+        for x, y in pairs:
+            try:
+                i, j = pos[x], pos[y]
+            except KeyError:
+                raise UnknownElementError(
+                    f"unknown element {y if x in pos else x!r} in pair ({x!r}, {y!r})") from None
+            succ[i].append(j)
+            pred[j].append(i)
+    else:
+        names, pos, succ, pred = _resolved
     # Kahn's sort: an element is emitted once all its predecessors are
     indegree = [len(p) for p in pred]
     order = [i for i, d in enumerate(indegree) if not d]

@@ -297,7 +297,8 @@ def _check_token(name, lineno):
 def parse_poset_lines(text):
     """Reference reader for poset files, one logical line at a time: the
     declared names (a repeated ``elem`` line repeats its name) and the edge
-    pairs that ``formats.parse_poset`` must hand to ``build_poset``."""
+    pairs.  ``formats.parse_poset`` must build the same poset as
+    ``build_poset(declared, pairs)``, or raise the same error."""
     declared, seen, pairs = [], set(), []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

@@ -50,6 +50,7 @@ from helpers import (
     parse_ranks_lines,
     parse_scores_lines,
     random_table,
+    shuffled,
 )
 
 ABC_FILE = """\
@@ -166,6 +167,17 @@ def test_a_parse_error_is_reported_before_a_duplicate_or_a_cycle(text, line):
     assert excinfo.value.line == line
 
 
+@pytest.mark.parametrize("text, name", [
+    ("a < b\nelem a\n", "a"),  # declared first by an edge
+    ("elem x\nelem y\nelem y\nelem x\n", "y"),  # the first repeated line, not the first name
+    ("a < b\nb < a\nelem a\n", "a"),  # not the cycle
+])
+def test_a_duplicate_is_reported_before_a_cycle(text, name):
+    with pytest.raises(DuplicateElementError) as excinfo:
+        parse_poset(text)
+    assert str(excinfo.value) == f"duplicate element {name!r}"
+
+
 def test_an_invalid_upper_name_is_reported_on_its_own_line():
     with pytest.raises(ParseError, match="^line 3: invalid element name 'b<c'$"):
         parse_poset("elem x\n# a < b<c\na < b<c\n")
@@ -238,6 +250,51 @@ def test_parse_poset_matches_the_line_by_line_reference(text):
     assert p == expected
     assert p.cover_pairs == expected.cover_pairs
     assert (p.strict_pairs, p.cover_pairs) == brute_order(declared, pairs)
+
+
+def chart_sized_files():
+    """Files the size of the benchmark's largest posets, which the soups above
+    never reach: a 400-element DAG with three forward edges per node, an 8×8
+    grid, a 400-chain with redundant pairs, and edge lines before ``elem``
+    lines that declare only new, isolated elements."""
+    rng = SplitMix64(27)
+    names = [f"v{i}" for i in range(400)]
+    perm = shuffled(rng, names)
+    dag_pairs = [(perm[i], perm[i + 1 + rng.below(399 - i)]) for i in range(399) for _ in range(3)]
+    cells = [f"g{i}_{j}" for i in range(8) for j in range(8)]
+    grid_pairs = [(f"g{i}_{j}", f"g{i + 1}_{j}") for i in range(7) for j in range(8)]
+    grid_pairs += [(f"g{i}_{j}", f"g{i}_{j + 1}") for i in range(8) for j in range(7)]
+    links = [f"c{i}" for i in range(400)]
+    chain_pairs = list(zip(links, links[1:])) + list(zip(links, links[2::7]))
+    files = {
+        "dag": (names, dag_pairs),
+        "grid": (cells, grid_pairs),
+        "chain": (links, shuffled(rng, chain_pairs)),
+    }
+    texts = {
+        name: "".join(f"elem {x}\n" for x in declared) + "".join(f"{x} < {y}\n" for x, y in pairs)
+        for name, (declared, pairs) in files.items()
+    }
+    texts["edges-first"] = (
+        "".join(f"{x} < {y}\n" for x, y in dag_pairs[:600])
+        + "".join(f"elem lone{i}\n" for i in range(50))
+    )
+    return texts
+
+
+CHART_SIZED_FILES = chart_sized_files()
+
+
+@pytest.mark.parametrize("name", CHART_SIZED_FILES)
+def test_parse_poset_matches_the_reference_on_chart_sized_files(name):
+    text = CHART_SIZED_FILES[name]
+    p = parse_poset(text)
+    expected = build_poset(*parse_poset_lines(text))
+    assert p == expected
+    assert p.elements == expected.elements
+    assert p.cover_pairs == expected.cover_pairs
+    for direction in DIRECTIONS:
+        assert compute_levels(p, direction).layer == compute_levels(expected, direction).layer
 
 
 F_MAPPING = """\
