@@ -243,7 +243,7 @@ def extend(table, domain_lin, codomain_lin, mode):
     for c, r in zip(class_slots, map(signed.__getitem__, table._values)):
         if r > best[c]:
             best[c] = r
-    return ClassMapping(domain_lin, codomain_lin, arity, mode, tuple(map(sign.__mul__, best)))
+    return ClassMapping(domain_lin, codomain_lin, arity, mode, tuple([sign * r for r in best]))
 
 
 def extend_all(tables, domain_lin, codomain_lin, mode):

@@ -2,18 +2,18 @@
 
 Elements are numbered 0..n-1 in declaration order (``parse_poset`` numbers them
 as it reads).  A poset keeps its generating pairs as successor and predecessor
-lists, in one topological order; levels and the longest chain walk them in
-O(n + pairs) steps and no bitsets.  The first upward order query adds the
-closure, two lists of ``int`` bitsets: bit ``j`` of ``up[i]`` is set iff
-element ``i`` is strictly below element ``j``, and ``cover_up`` holds the upper
-covers (the transitive reduction).  Every downward query asks the dual poset,
-built on first use over the same elements with the generating lists swapped,
-whose upward half is this poset's downward one.  So ``levels`` and ``equiv``
-build no closure, ``elcc`` builds the upper half, ``check`` both, and a table
-check the domain's upper half with the codomain's upper half (``is_monotone``)
-or its dual's (``is_antitone``).  Order queries are bit tests; sets of names
-are built only at the API edge, on each call.  Every derived listing follows
-declaration order.
+lists, in one topological order; levels, the longest chain, chain-ness and the
+extremal elements read them in O(n + pairs) steps and no bitsets.  The first
+upward order query adds the closure, two lists of ``int`` bitsets: bit ``j`` of
+``up[i]`` is set iff ``i`` is strictly below ``j``, and ``cover_up`` holds the
+upper covers (the transitive reduction).  Every downward query asks the dual
+poset, built on first use over the same elements with the generating lists
+swapped, whose upward half is this poset's downward one.  So ``levels`` and
+``equiv`` build no closure, ``elcc`` the upper half, ``check`` that half and,
+with one maximal and one minimal element, the dual's, and a table check the
+domain's upper half with the codomain's (``is_monotone``) or its dual's
+(``is_antitone``).  Order queries are bit tests; sets of names are built only at
+the API edge, on each call.  Every derived listing follows declaration order.
 """
 
 from .errors import (
@@ -235,14 +235,14 @@ class Poset:
         return i != j and (up[i] >> j | up[j] >> i) & 1 == 0
 
     def is_linear(self):
-        """True iff every pair of distinct elements is comparable, that is iff
-        the strict order holds all n(n-1)/2 pairs it can hold."""
-        n = len(self.elements)
-        return sum(map(int.bit_count, self._closure()[0])) == n * (n - 1) // 2
+        """True iff all elements are pairwise comparable, iff each generates the next in
+        topological order: a chain's neighbours are covers, and covers are generating pairs."""
+        return all(j in self._succ[i] for i, j in zip(self._order, self._order[1:]))
 
     def maximal_elements(self):
         """Elements with no strict upper bound: those that start no generating pair."""
-        return tuple(x for x, succ in zip(self.elements, self._succ) if not succ)
+        # from a list: a tuple of a generator raised the peak RSS of a run of `check` requests
+        return tuple([x for x, succ in zip(self.elements, self._succ) if not succ])
 
     def minimal_elements(self):
         return self._dual().maximal_elements()
@@ -268,14 +268,14 @@ class Poset:
     def is_lattice(self):
         """True iff every pair of elements has a least upper and greatest lower bound.
 
-        More than one maximal or minimal element rules it out.  Otherwise only meets are
-        searched, as a finite poset with a top in which every pair has a meet is a lattice
-        (Davey & Priestley), and a row with no incomparable element declared after it is
-        skipped: O(n) masks on a chain, O(n²) intersections on a wide poset such as a grid.
+        More than one maximal or minimal element rules it out before any closure is built.
+        Otherwise only meets are searched, as a finite poset with a top in which every pair
+        has a meet is a lattice (Davey & Priestley); a row with no incomparable element
+        declared after it is skipped: O(n) masks on a chain, O(n²) on a wide poset (a grid).
         """
+        if len(self.maximal_elements()) > 1 or len(self.minimal_elements()) > 1:
+            return False  # no join or no meet
         up, down = self._closure()[0], self._dual()._closure()[0]
-        if sum(not s for s in up) > 1 or sum(not s for s in down) > 1:  # no join or no meet
-            return False
         full = (1 << len(up)) - 1
         reflexive = [s | 1 << i for i, s in enumerate(down)]
         owned = set(reflexive)

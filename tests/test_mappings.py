@@ -83,6 +83,13 @@ def test_table_must_be_total(abc_lattice):
         MappingTable(abc_lattice, 1, abc_lattice, {(x,): x for x in ["bot", "a", "b", "c"]})
 
 
+def test_a_table_compares_unequal_to_what_is_not_a_table(abc_lattice):
+    table = identity_table(abc_lattice)
+    assert table.__eq__(abc_lattice) is NotImplemented
+    assert table != abc_lattice and table != table.table
+    assert table == identity_table(abc_lattice)
+
+
 def test_table_rejects_unknown_elements(abc_lattice):
     with pytest.raises(UnknownElementError):
         MappingTable(abc_lattice, 1, abc_lattice, {("zz",): "bot"})
@@ -233,6 +240,16 @@ def test_ordered_witness_on_the_diamond(diamond):
     }
     assert witness.witness_map.is_monotone()
     assert witness.recheck()
+
+
+def test_recheck_fails_once_the_witness_map_is_not_monotone(diamond):
+    witness = impossibility_witness(diamond, {"bot": 0, "a": 1, "b": 2, "top": 3})
+    # still swaps the pair, as the witness map does, but turns the whole order upside down
+    upside_down = MappingTable(
+        diamond, 1, diamond, {("bot",): "top", ("a",): "b", ("b",): "a", ("top",): "bot"},
+    )
+    assert not upside_down.is_monotone()
+    assert not witness._replace(witness_map=upside_down).recheck()
 
 
 def test_witness_orients_the_pair_by_rank(diamond):

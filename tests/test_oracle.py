@@ -12,6 +12,7 @@ from posetlin import (
     MAX_BRUTE_RANK,
     PRIMAL,
     CycleError,
+    EmptyInputError,
     EmptyPosetError,
     MappingTable,
     TooLargeError,
@@ -189,6 +190,14 @@ def test_brute_rank_cap():
     assert len(brute_rank(parse_scores(rows), 1).groups) == 1
     with pytest.raises(TooLargeError, match="distinct intervals"):
         brute_rank(parse_scores(rows + f"x 0 {MAX_BRUTE_RANK}\n"), 1)
+
+
+def test_brute_rank_guards():
+    items = parse_scores("a 0 1\n")
+    with pytest.raises(ValueError, match="k must be positive"):
+        brute_rank(items, 0)
+    with pytest.raises(EmptyInputError):
+        brute_rank([], 1)
 
 
 def test_linear_extension_counts():

@@ -164,6 +164,14 @@ def test_is_linear():
     assert chain(3).is_linear()
     assert build_poset(["x"], []).is_linear()
     assert not antichain(2).is_linear()
+    # a chain given with shuffled redundant pairs, and beside one more element
+    rng = SplitMix64(5)
+    names = [f"x{i}" for i in range(12)]
+    redundant = [(names[i], names[j]) for i in range(12) for j in range(i + 2, 12) if (i + j) % 3]
+    pairs = shuffled(rng, list(zip(names, names[1:])) + redundant)
+    assert build_poset(shuffled(rng, names), pairs).is_linear()
+    assert not build_poset(names + ["y"], pairs + [(names[0], "y")]).is_linear()
+    assert not build_poset(names + ["y"], pairs).is_linear()
 
 
 def test_abc_is_not_linear(abc_lattice):
@@ -571,6 +579,8 @@ def test_every_naturally_labelled_poset_up_to_six_elements():
         assert satisfies_elcc(p) == (len(lengths) == 1), (elements, pairs)
         assert p.is_lattice() == is_lattice_bruteforce(p), (elements, pairs)
         strict, covers = brute_order(elements, pairs)
+        n = len(elements)
+        assert p.is_linear() == (len(strict) == n * (n - 1) // 2), (elements, pairs)
         for x in elements:
             assert p.below(x) == {a for a, b in strict if b == x}, (elements, pairs, x)
             assert p.covers_below(x) == {a for a, b in covers if b == x}, (elements, pairs, x)
@@ -615,6 +625,7 @@ def test_levels_and_chain_length_never_build_the_closure(monkeypatch):
         compute_levels(p, DUAL).classes_ascending()
         linearisations_equivalent(p)
         p.longest_chain_length()
+        p.is_linear()
         p.maximal_elements()
         p.minimal_elements()
         table = random_table(p, diamond_poset(), 1)
@@ -622,8 +633,17 @@ def test_levels_and_chain_length_never_build_the_closure(monkeypatch):
     assert calls == []
 
 
+def test_is_lattice_rules_out_two_tops_or_two_bottoms_before_any_closure(monkeypatch):
+    calls = _count_closures(monkeypatch)
+    two_bottoms = build_poset(["a", "b", "top"], [("a", "top"), ("b", "top")])
+    for p in (_doubled_top(6), two_bottoms, antichain(3)):
+        assert not p.is_lattice()
+    assert calls == []
+
+
 ORDER_QUERIES = {  # each query and the closure halves it builds first
     "is_lattice": (lambda p: p.is_lattice(), ["up", "down"]),
+    "is_linear": (lambda p: p.is_linear(), []),
     "leq": (lambda p: p.leq("bot", "top"), ["up"]),
     "satisfies_elcc": (satisfies_elcc, ["up"]),
     "above": (lambda p: p.above("a"), ["up"]),
