@@ -1,9 +1,9 @@
 """Golden records of the command line's bytes.
 
 A record is ``(argv, exit code, stdout, stderr)`` of one ``posetlin`` request
-from the benchmark's ``chart`` and ``corpus`` decks (``perfbench/workloads.py``)
-at seeds 1 and 2, run in process as built (``--json``) and again with
-``--json`` dropped.  ``golden.txt`` keeps one short digest per record, in a
+from the benchmark's ``chart``, ``corpus`` and ``rank`` decks
+(``perfbench/workloads.py``) at seeds 1 and 2, run in process as built
+(``--json``) and again with ``--json`` dropped.  ``golden.txt`` keeps one short digest per record, in a
 fixed order, beside the record's name; ``tests/test_golden.py`` recomputes
 them.  After a deliberate change of output, regenerate the file with::
 
@@ -23,7 +23,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).with_name("golden.txt")
-DECKS = (("chart", 1), ("chart", 2), ("corpus", 1), ("corpus", 2))
+DECKS = (("chart", 1), ("chart", 2), ("corpus", 1), ("corpus", 2), ("rank", 1), ("rank", 2))
 HEADER = "# digest workload seed argv; regenerate with: python tests/golden.py --write"
 
 
