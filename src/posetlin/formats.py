@@ -25,12 +25,13 @@ Ranks files::
 
     name rank          # rank is an integer; every element needs exactly one
 
-Scores are compared exactly: the strings are parsed to integer ratios, on
-which ``lo <= hi`` is checked and which ``rank_items`` sweeps in sorted
-order as integers at one common scale.  A plain ASCII decimal (an optional
-``-``, then digits with at most one ``.``) is read as an integer over a power
-of ten; every other form ``Fraction`` accepts goes through ``Fraction``
-(decimal exponents up to 4300 in magnitude).
+Scores are compared exactly: the strings are parsed to integer ratios
+``(numerator, denominator)``, which ``ScoredItem`` stores as read and on which
+``lo <= hi`` is checked; ``rank_items`` sweeps them in sorted order as
+integers at one common scale.  A plain ASCII decimal (an optional ``-``, then
+digits with at most one ``.``) is read as its digits over a power of ten, not
+reduced and with no ``Fraction``; every other form ``Fraction`` accepts goes
+through ``Fraction`` (decimal exponents up to 4300 in magnitude).
 """
 
 import json
@@ -187,10 +188,15 @@ def parse_mapping(text, domain, codomain):
     return MappingTable(domain, arity, codomain, None, _values=values)
 
 
-class ScoredItem(namedtuple("ScoredItem", "item lo hi lo_text hi_text")):
-    """An item with an exact interval score: ``Fraction`` ends and their source text."""
+class ScoredItem(namedtuple("ScoredItem", "item lo_text hi_text lo_ratio hi_ratio")):
+    """An item with an exact interval score: each end's source text and its integer
+    ratio ``(numerator, denominator)`` as read, the denominator positive and the ratio
+    not reduced.  ``lo`` and ``hi`` are ``Fraction`` views, built on each access."""
 
     __slots__ = ()
+
+    lo = property(lambda self: Fraction(*self.lo_ratio))
+    hi = property(lambda self: Fraction(*self.hi_ratio))
 
 
 def _plain(text):
@@ -232,7 +238,7 @@ def parse_scores(text):
         if lo[0] * hi[1] > hi[0] * lo[1]:  # denominators are positive
             raise ParseError(f"lo must not exceed hi in {line.strip()!r}", lineno)
         names.add(name)
-        items.append(ScoredItem(name, Fraction(*lo), Fraction(*hi), lo_text, hi_text))
+        items.append(ScoredItem(name, lo_text, hi_text, lo, hi))
     return items
 
 
@@ -287,13 +293,15 @@ def rank_items(items, k, direction=PRIMAL):
     items = list(items)
     if not items:
         raise EmptyInputError("no scored items to rank")
-    ends = [(it.lo.as_integer_ratio(), it.hi.as_integer_ratio()) for it in items]
+    ends = [(it.lo_ratio, it.hi_ratio) for it in items]
     scale = 1
     for d in {d for pair in ends for _, d in pair}:
-        scale = lcm(scale, d)
-        if scale.bit_length() > _MAX_SCALE_BITS:  # coprime denominators: keys
-            scale = None  # would grow without bound, so compare the rationals
-            break
+        if not isinstance(d, int) or d < 1:
+            raise ValueError(f"a score's denominator must be a positive int, got {d!r}")
+        if scale is not None:
+            scale = lcm(scale, d)
+            if scale.bit_length() > _MAX_SCALE_BITS:  # coprime denominators: keys
+                scale = None  # would grow without bound, so compare the rationals
     sign = -1 if direction == PRIMAL else 1
     if scale is None:
         keys = [(sign * it.lo, sign * it.hi) for it in items]

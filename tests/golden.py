@@ -27,7 +27,7 @@ DECKS = (("chart", 1), ("chart", 2), ("corpus", 1), ("corpus", 2), ("rank", 1), 
 HEADER = "# digest workload seed argv; regenerate with: python tests/golden.py --write"
 
 
-def _build():
+def deck_builder():
     """``perfbench/workloads.build``; the decks come from the benchmark's own
     seeded stream, so a change to posetlin cannot change them."""
     path = str(ROOT / "perfbench")
@@ -50,7 +50,7 @@ def records(directory):
     """``(name, digest)`` of every record, in order; deck files go under ``directory``."""
     from posetlin.cli import main
 
-    build, found, cwd = _build(), [], os.getcwd()
+    build, found, cwd = deck_builder(), [], os.getcwd()
     for workload, seed in DECKS:
         files, manifest = build(workload, seed)
         deck_dir = Path(directory) / f"{workload}{seed}"

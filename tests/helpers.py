@@ -387,7 +387,8 @@ def _score_value(text):
 def parse_scores_lines(text):
     """Reference reader for scores files on ``Fraction`` values throughout:
     exponents bounded, each text read, then ``lo > hi`` compared as
-    rationals.  ``formats.parse_scores`` must give equal items or the same
+    rationals; each item stores its ends' reduced ratios.  ``formats.parse_scores``
+    must give items of equal texts and values (``lo`` and ``hi``), or the same
     error."""
     items = []
     names = set()
@@ -410,7 +411,8 @@ def parse_scores_lines(text):
         if lo > hi:
             raise ParseError(f"lo must not exceed hi in {line!r}", lineno)
         names.add(name)
-        items.append(ScoredItem(name, lo, hi, lo_text, hi_text))
+        ratios = lo.as_integer_ratio(), hi.as_integer_ratio()
+        items.append(ScoredItem(name, lo_text, hi_text, *ratios))
     return items
 
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import posetlin
-from posetlin import Linearisation, SplitMix64, cli
+from posetlin import Linearisation, SplitMix64, cli, formats
 from posetlin.cli import main
 from helpers import main_via_root, read_text_mode
 
@@ -279,6 +279,19 @@ def test_rank_json_output(files, capsys):
         '{"direction":"primal","k":1,'
         '"groups":[{"items":["p"],"intervals":[["0.9","1.0"]]}]}'
     )
+
+
+def test_rank_reads_plain_decimals_with_no_fraction(files, capsys, monkeypatch):
+    scores = files("scores.txt", SCORES_FILE + "s 0.50 0.5\nt -1 2.\nu -.25 0\n")
+    expected = run(capsys, "rank", scores, "-k", "3", "--json")
+
+    def no_fraction(*args):
+        raise AssertionError("a plain decimal built a Fraction")
+
+    monkeypatch.setattr(formats, "Fraction", no_fraction)
+    assert run(capsys, "rank", scores, "-k", "3", "--json") == expected
+    with pytest.raises(AssertionError):  # the guard is live
+        main(["rank", files("fraction.txt", "p 1/2 1\n"), "-k", "3", "--json"])
 
 
 def test_rank_emits_further_groups_for_larger_k(files, capsys):

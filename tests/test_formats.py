@@ -1,5 +1,6 @@
 """File parsing, rendering, ranking, and canonical JSON."""
 
+import re
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -37,6 +38,7 @@ from posetlin import (
     rank_items,
     render_poset,
 )
+from golden import deck_builder
 from helpers import (
     CAP_ADMITTED,
     CAP_REJECTED,
@@ -680,9 +682,10 @@ def score_fields(items):
 @settings(max_examples=300)
 @given(score_soups())
 def test_parse_scores_matches_the_fraction_reference(text):
-    items = assert_reads_like(parse_scores, parse_scores_lines, text)
-    if items is not None:
-        assert score_fields(items) == score_fields(parse_scores_lines(text))
+    # the items compare by value: the parser keeps a plain decimal's ratio unreduced
+    assert_reads_like(
+        lambda t: score_fields(parse_scores(t)), lambda t: score_fields(parse_scores_lines(t)), text
+    )
 
 
 def test_parse_ranks(diamond):
@@ -856,10 +859,47 @@ def test_rank_matches_the_reference_on_hand_built_items():
         (1, 1), (Fraction(1), 1), (-2, -2), (smaller, small), (0, small), (smaller, smaller),
         (Fraction(-1, 2), 0), (Fraction(-3, 4), Fraction(-1, 2)),
     ]
-    items = [ScoredItem(f"i{n}", lo, hi, str(lo), str(hi)) for n, (lo, hi) in enumerate(ends)]
+    items = [
+        ScoredItem(f"i{n}", str(lo), str(hi), *(Fraction(v).as_integer_ratio() for v in (lo, hi)))
+        for n, (lo, hi) in enumerate(ends)
+    ]
     assert_ranks_like_the_reference(items, range(1, len(items) + 2))
     scaled = [it for it in items if small not in (it.lo, it.hi) and smaller not in (it.lo, it.hi)]
     assert_ranks_like_the_reference(scaled, range(1, len(scaled) + 2))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_rank_matches_the_reference_on_the_benchmark_rank_deck(seed):
+    # every 50-item scores file of the deck, at every k the deck asks of those files
+    files, manifest = deck_builder()("rank", seed)
+    fifty = {n for n, text in files.items() if n.startswith("scores") and text.count("\n") == 50}
+    argvs = [request["argv"] for request in manifest["deck"] if request["argv"][1] in fifty]
+    ks = sorted({int(argv[argv.index("-k") + 1]) for argv in argvs})
+    assert len(fifty) == 8 and ks
+    for name in sorted(fifty):
+        assert_ranks_like_the_reference(parse_scores(files[name]), ks)
+
+
+def test_an_unreduced_ratio_ranks_with_its_reduced_form():
+    (half,) = parse_scores("a 0.50 0.50\n")
+    assert (half.lo_ratio, half.hi_ratio) == ((50, 100), (50, 100))
+    half_again = ScoredItem("b", "1/2", "1/2", (1, 2), (1, 2))
+    items = [half, half_again, ScoredItem("c", "1", "1", (1, 1), (1, 1))]
+    assert_ranks_like_the_reference(items, (1, 2, 3))
+    assert [tuple(g) for g in rank_items(items, 2, PRIMAL).groups] == [
+        (("c",), (("1", "1"),)), (("a", "b"), (("0.50", "0.50"),))
+    ]
+
+
+@pytest.mark.parametrize("denominator", [0, -2, 2.0, Fraction(2)])
+@pytest.mark.parametrize("scale", ["integer keys", "past the scale cap"])
+def test_rank_rejects_a_denominator_that_is_not_a_positive_int(denominator, scale):
+    items = [ScoredItem("a", "0", "1", (0, 1), (1, 1)), ScoredItem("b", "?", "1", (1, denominator), (1, 1))]
+    if scale == "past the scale cap":  # the check must not stop where the lcm does
+        items += [ScoredItem(f"c{n}", "0", "1", (0, d), (1, 1)) for n, d in enumerate((2**2200, 3**1400))]
+    message = f"denominator must be a positive int, got {denominator!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        rank_items(items, 1)
 
 
 @st.composite

@@ -68,9 +68,8 @@ PINNED = [
     ),
     (
         ScoredItem,
-        ("item", "lo", "hi", "lo_text", "hi_text"),
-        "ScoredItem(item='q', lo=Fraction(1, 5), hi=Fraction(1, 5), "
-        "lo_text='1/5', hi_text='2e-1')",
+        ("item", "lo_text", "hi_text", "lo_ratio", "hi_ratio"),
+        "ScoredItem(item='q', lo_text='1/5', hi_text='2e-1', lo_ratio=(1, 5), hi_ratio=(1, 5))",
     ),
     (
         RankGroup,
