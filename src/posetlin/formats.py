@@ -35,6 +35,7 @@ through ``Fraction`` (decimal exponents up to 4300 in magnitude).
 """
 
 import json
+import re
 from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction
@@ -52,21 +53,20 @@ _MAX_SCALE_BITS = 4096
 
 def parse_poset(text):
     """Parse a poset file in one pass, O(lines) with one dict lookup per name occurrence:
-    a name gets its index when first seen, and edge lines grow the generating lists.  The
-    first malformed line raises first, then the first repeated ``elem`` line, then a cycle."""
+    a name gets its index when first seen, and edge lines grow the generating lists.
+    Comments are cut from the whole text by one pattern, a ``<`` inside a name shows once
+    per file as more ``<`` than edge lines, and line numbers are counted only on an error.
+    The first malformed line raises first, then the first repeated ``elem`` line, then a
+    cycle."""
+    # a space, not "": a "\r" before a comment and a "\n" after it stay two line ends
+    text = _COMMENT.sub(" ", text)
     pos, succ, pred = {}, [], []  # name -> index by first appearance; generating lists
     again = None  # the name of the first repeated ``elem`` line
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0] if "#" in raw else raw
+    for line in text.splitlines():
         fields = line.split()
-        if not fields:
-            continue
         # the edge form goes first: an element may be named "elem"
         if len(fields) == 3 and fields[1] == "<":
             lower, _, upper = fields
-            if "<" in lower or "<" in upper:
-                bad = lower if "<" in lower else upper
-                raise ParseError(f"invalid element name {bad!r}", lineno)
             i = pos.get(lower)
             if i is None:
                 i = pos[lower] = len(succ)
@@ -79,25 +79,49 @@ def parse_poset(text):
                 pred.append([])
             succ[i].append(j)
             pred[j].append(i)
-        elif fields[0] == "elem":
-            if len(fields) != 2:
-                raise ParseError("expected 'elem NAME'", lineno)
+        elif len(fields) == 2 and fields[0] == "elem":
             name = fields[1]
-            if "<" in name:
-                raise ParseError(f"invalid element name {name!r}", lineno)
             if name in pos:
                 again = again or name
             else:
                 pos[name] = len(succ)
                 succ.append([])
                 pred.append([])
-        else:
-            raise ParseError(f"unrecognised line {line.strip()!r}", lineno)
+        elif fields:
+            raise _first_fault(text)
+    # each edge line holds one "<" of its own; any other lies in a name
+    if text.count("<") != sum(map(len, succ)):
+        raise _first_fault(text)
     if again is not None:
         raise DuplicateElementError(f"duplicate element {again!r}")
     # each name is a str.split() field of a line cut at "#" and holds no "<", so it is
     # non-empty and free of whitespace, "<" and "#": build_poset's name checks would pass
     return build_poset((), (), _resolved=(list(pos), pos, succ, pred))
+
+
+# a comment runs to the next of str.splitlines' line boundaries
+_COMMENT = re.compile("#[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*")
+
+
+def _first_fault(text):
+    """The ``ParseError`` of the first malformed line of a poset file cut of its comments:
+    a line of no known form, or a name holding ``<``.  Asked for only once one is known to
+    exist, it is the one place that counts lines."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        fields = line.split()
+        if len(fields) == 3 and fields[1] == "<":
+            names = fields[::2]
+        elif fields[:1] == ["elem"]:
+            if len(fields) != 2:
+                return ParseError("expected 'elem NAME'", lineno)
+            names = fields[1:]
+        elif fields:
+            return ParseError(f"unrecognised line {line.strip()!r}", lineno)
+        else:
+            continue
+        bad = next((name for name in names if "<" in name), None)
+        if bad is not None:
+            return ParseError(f"invalid element name {bad!r}", lineno)
 
 
 def render_poset(p):

@@ -97,7 +97,7 @@ def build_poset(elements, pairs, *, _resolved=None):
     else:
         names, pos, succ, pred = _resolved
     # Kahn's sort: an element is emitted once all its predecessors are
-    indegree = [len(p) for p in pred]
+    indegree = list(map(len, pred))
     order = [i for i, d in enumerate(indegree) if not d]
     for i in order:
         for j in succ[i]:
@@ -182,10 +182,12 @@ class Poset:
         generating pair and every pair a chain of covers, so relaxing the
         generating lists in topological order finds the same walks, in
         O(n + pairs) steps and with no closure."""
-        layer = [0] * len(self._succ)
+        succ = self._succ
+        layer = [0] * len(succ)
+        at = layer.__getitem__
         for i in reversed(self._order):
-            if self._succ[i]:
-                layer[i] = 1 + max(map(layer.__getitem__, self._succ[i]))
+            if succ[i]:
+                layer[i] = 1 + max(map(at, succ[i]))
         return layer
 
     def _pairs(self, rows):

@@ -207,18 +207,24 @@ def test_elem_may_name_either_end_of_an_edge():
 
 CLEAN_NAMES = ["a", "b", "c", "d", "elem", "\u00e9"]
 HOSTILE_NAMES = CLEAN_NAMES + ["a<b", "<", "#", "x#y", "a\x85b", "a\x0bb"]
+# every line boundary of str.splitlines, "\r\n" counted as one
+LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 
 @st.composite
 def poset_soups(draw):
     """Poset file text built from edge, ``elem``, comment and blank lines,
-    with every kind of whitespace; hostile soups also hold names that need
-    rejecting, line breaks inside a line (``\\x85``, ``\\x0b``) and lines of
-    no known form."""
-    hostile = draw(st.booleans())
+    with every kind of whitespace.  Broken and hostile soups end lines at
+    every line boundary, and put one inside each comment, before a line that
+    a comment running past its end would hide.  Hostile soups also hold
+    names that need rejecting, line boundaries inside names and lines of no
+    known form."""
+    mode = draw(st.sampled_from(["clean", "broken", "hostile"]))
+    hostile, broken = mode == "hostile", mode != "clean"
     name = st.sampled_from(HOSTILE_NAMES if hostile else CLEAN_NAMES)
     kinds = ["edge", "edge", "edge", "elem", "comment", "blank"] + ["junk"] * hostile
     spaces = st.sampled_from(" \t\u3000\xa0\x1f" + "\x85" * hostile)
+    breaks = st.sampled_from(LINE_BREAKS if broken else ["\n"])
     lines = []
     for _ in range(draw(st.integers(0, 10))):
         kind = draw(st.sampled_from(kinds))
@@ -228,13 +234,18 @@ def poset_soups(draw):
         elif kind == "elem":
             line = "elem" + space + draw(name)
         elif kind == "comment":
-            line = draw(st.sampled_from(["", "a < b ", "elem"])) + "# a < b"
+            line = draw(st.sampled_from(["", "a < b ", "elem a"] + ["elem"] * hostile)) + "# a < b"
+            if broken:
+                line += draw(breaks) + draw(st.sampled_from(["a", "elem a b", "b < a"]))
         elif kind == "blank":
             line = space
         else:
             line = draw(st.sampled_from(["elem", "elem a b", "a < b < c", "a <b", "a"]))
         lines.append(draw(st.sampled_from(["", space])) + line)
-    return "\n".join(lines)
+    ends = [draw(breaks) for _ in lines]
+    if ends and draw(st.booleans()):
+        ends[-1] = ""  # the last line runs to the end of the file
+    return "".join(line + end for line, end in zip(lines, ends))
 
 
 @settings(max_examples=400)
@@ -252,6 +263,21 @@ def test_parse_poset_matches_the_line_by_line_reference(text):
     assert p == expected
     assert p.cover_pairs == expected.cover_pairs
     assert (p.strict_pairs, p.cover_pairs) == brute_order(declared, pairs)
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS)
+def test_a_comment_ends_at_every_line_boundary(brk):
+    for text, line in [
+        (f"elem a # x{brk}b c{brk}", 2),  # a break inside a comment
+        (f"elem a{brk}# x{brk}b c{brk}", 3),  # a break after a comment line
+        (f"elem a\r# x{brk}b c{brk}", 3),  # a "\r" before a comment ends a line of its own
+    ]:
+        with pytest.raises(ParseError) as excinfo:
+            parse_poset_lines(text)
+        assert str(excinfo.value) == f"line {line}: unrecognised line 'b c'"
+        with pytest.raises(ParseError) as excinfo:
+            parse_poset(text)
+        assert str(excinfo.value) == f"line {line}: unrecognised line 'b c'"
 
 
 def chart_sized_files():
@@ -285,6 +311,41 @@ def chart_sized_files():
 
 
 CHART_SIZED_FILES = chart_sized_files()
+
+
+def faulted_chart_files():
+    """Copies of the chart-sized DAG file with one fault each, inserted at a seeded
+    line in the second half of the file, where the soups never reach."""
+    rng = SplitMix64(31)
+    lines = CHART_SIZED_FILES["dag"].splitlines()
+    lower, _, upper = lines[-1].split()
+    faults = {
+        "junk": "v1 v2",
+        "elem-name": "elem a<b",
+        "upper-name": "v3 < v4<v5",
+        "repeated-elem": "elem v7",
+        "back-edge": f"{upper} < {lower}",
+    }
+    texts = {}
+    for kind, fault in faults.items():
+        at = len(lines) // 2 + rng.below(len(lines) // 2)
+        texts[kind] = "\n".join(lines[:at] + [fault] + lines[at:]) + "\n"
+    return texts
+
+
+FAULTED_CHART_FILES = faulted_chart_files()
+
+
+@pytest.mark.parametrize("kind", FAULTED_CHART_FILES)
+def test_parse_poset_reports_a_deep_fault_as_the_reference_does(kind):
+    text = FAULTED_CHART_FILES[kind]
+    with pytest.raises(Exception) as expected:
+        build_poset(*parse_poset_lines(text))
+    with pytest.raises(Exception) as excinfo:
+        parse_poset(text)
+    got, exc = excinfo.value, expected.value
+    assert (type(got), str(got), getattr(got, "line", None)) == (
+        type(exc), str(exc), getattr(exc, "line", None))
 
 
 @pytest.mark.parametrize("name", CHART_SIZED_FILES)
