@@ -1,11 +1,15 @@
 """Golden records of the command line's bytes.
 
 A record is ``(argv, exit code, stdout, stderr)`` of one ``posetlin`` request
-from the benchmark's ``chart``, ``corpus`` and ``rank`` decks
-(``perfbench/workloads.py``) at seeds 1 and 2, run in process as built
-(``--json``) and again with ``--json`` dropped.  ``golden.txt`` keeps one short digest per record, in a
-fixed order, beside the record's name; ``tests/test_golden.py`` recomputes
-them.  After a deliberate change of output, regenerate the file with::
+from the benchmark's decks (``perfbench/workloads.py``) at seeds 1 and 2, run
+in process.  A ``chart``, ``corpus`` or ``rank`` request runs as built
+(``--json``) and again with ``--json`` dropped.  An ``extend`` request, which
+the benchmark serves through the library, runs as ``extend DOM COD MAP --mode
+M`` for both modes and all four ``--domain-dual``/``--codomain-dual``
+settings, each with ``--json`` and without.  ``golden.txt`` keeps one short
+digest per record, in a fixed order, beside the record's name;
+``tests/test_golden.py`` recomputes them.  After a deliberate change of
+output, regenerate the file with::
 
     python tests/golden.py --write
 
@@ -23,7 +27,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).with_name("golden.txt")
-DECKS = (("chart", 1), ("chart", 2), ("corpus", 1), ("corpus", 2), ("rank", 1), ("rank", 2))
+DECKS = (
+    ("chart", 1), ("chart", 2), ("corpus", 1), ("corpus", 2), ("rank", 1), ("rank", 2),
+    ("extend", 1), ("extend", 2),
+)
+MODES = ("over", "under")
 HEADER = "# digest workload seed argv; regenerate with: python tests/golden.py --write"
 
 
@@ -37,6 +45,20 @@ def deck_builder():
     finally:
         sys.path.remove(path)
     return build
+
+
+def argvs(request):
+    """The command lines one deck request runs as, each with ``--json`` first."""
+    if request["kind"] == "cli":
+        yield request["argv"]
+        yield [a for a in request["argv"] if a != "--json"]
+        return
+    dom, cod, table = request["files"]
+    for mode in MODES:
+        for dual in ([], ["--domain-dual"], ["--codomain-dual"], ["--domain-dual", "--codomain-dual"]):
+            argv = ["extend", dom, cod, table, "--mode", mode, *dual]
+            yield argv + ["--json"]
+            yield argv
 
 
 def _run(main, argv):
@@ -60,7 +82,7 @@ def records(directory):
         os.chdir(deck_dir)  # the argv name the files relative to their directory
         try:
             for request in manifest["deck"]:
-                for argv in (request["argv"], [a for a in request["argv"] if a != "--json"]):
+                for argv in argvs(request):
                     record = json.dumps([argv, *_run(main, argv)])
                     digest = hashlib.sha256(record.encode()).hexdigest()[:16]
                     found.append((f"{workload} {seed} {' '.join(argv)}", digest))
