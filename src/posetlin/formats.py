@@ -1,7 +1,8 @@
 """File formats, deterministic JSON emission, and interval ranking.
 
-All formats are UTF-8 and line-oriented; a ``#`` starts a comment that runs
-to the end of the line, blank lines are ignored.
+All formats are UTF-8 and line-oriented; blank lines are ignored.  A ``#``
+starts a comment that runs to the end of the line; every reader cuts them once per
+file with one pattern, so a file holding ``#`` is copied once while it is read.
 
 Poset files::
 
@@ -58,7 +59,6 @@ def parse_poset(text):
     per file as more ``<`` than edge lines, and line numbers are counted only on an error.
     The first malformed line raises first, then the first repeated ``elem`` line, then a
     cycle."""
-    # a space, not "": a "\r" before a comment and a "\n" after it stay two line ends
     text = _COMMENT.sub(" ", text)
     pos, succ, pred = {}, [], []  # name -> index by first appearance; generating lists
     again = None  # the name of the first repeated ``elem`` line
@@ -99,7 +99,8 @@ def parse_poset(text):
     return build_poset((), (), _resolved=(list(pos), pos, succ, pred))
 
 
-# a comment runs to the next of str.splitlines' line boundaries
+# a comment runs to the next of str.splitlines' line boundaries; it is cut to a
+# space, not "", so that a "\r" before it and a "\n" after it stay two line ends
 _COMMENT = re.compile("#[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*")
 
 
@@ -136,12 +137,12 @@ def _first_fields(text):
     growing prefixes, so the cost follows the line's position, not the file."""
     size = 256
     while True:
-        lines = text[:size].splitlines()
+        lines = _COMMENT.sub(" ", text[:size]).splitlines()
         whole = size >= len(text)
         if not whole:
             del lines[-1]  # it may be cut short, or be ended by a "\r" of a "\r\n"
-        for lineno, raw in enumerate(lines, start=1):
-            fields = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        for lineno, line in enumerate(lines, start=1):
+            fields = line.split()
             if fields:
                 return lineno, fields
         if whole:
@@ -175,14 +176,13 @@ def parse_mapping(text, domain, codomain):
     values = [None] * n**arity
     unknown = None  # the error naming the first unknown name, raised after the last row
     strays = {}  # value of each tuple naming an unknown domain element
-    for lineno, raw in enumerate(islice(text.splitlines(), start, None), start + 1):
-        fields = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+    rows = _COMMENT.sub(" ", text).splitlines()
+    for lineno, line in enumerate(islice(rows, start, None), start + 1):
+        fields = line.split()
         if not fields:
             continue
         if len(fields) != arity + 2 or fields[arity] != "->":
-            raise ParseError(
-                f"expected {arity} argument(s), '->' and a value", lineno
-            )
+            raise ParseError(f"expected {arity} argument(s), '->' and a value", lineno)
         key, value = fields[:arity], fields[-1]
         try:
             slot = 0
@@ -238,8 +238,7 @@ def parse_scores(text):
     """Parse a scores file into a list of scored items, in file order."""
     items = []
     names = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0] if "#" in raw else raw
+    for lineno, line in enumerate(_COMMENT.sub(" ", text).splitlines(), start=1):
         fields = line.split()
         if not fields:
             continue
@@ -269,8 +268,8 @@ def parse_scores(text):
 def parse_ranks(text, p):
     """Parse a ranks file into a complete element-to-integer map for ``p``."""
     ranks = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        fields = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+    for lineno, line in enumerate(_COMMENT.sub(" ", text).splitlines(), start=1):
+        fields = line.split()
         if not fields:
             continue
         if len(fields) != 2:

@@ -265,19 +265,40 @@ def test_parse_poset_matches_the_line_by_line_reference(text):
     assert (p.strict_pairs, p.cover_pairs) == brute_order(declared, pairs)
 
 
+def comment_readers():
+    """Each reader that cuts comments, with its line-by-line reference, a line
+    it reads and a line it rejects."""
+    abc = SMALL_POSETS["abc"]
+
+    def mapping(read):
+        return lambda text: read(text, abc, abc)
+
+    return [
+        (parse_poset, parse_poset_lines, "elem a", "b c"),
+        # the header, found by _first_fields, and the rows after it
+        (mapping(parse_mapping), mapping(parse_mapping_lines), "", "arity x"),
+        (mapping(parse_mapping), mapping(parse_mapping_lines), "arity 1\nbot -> bot", "bot bot"),
+        # a trailing comment on the rejected line: its message quotes the line stripped
+        (parse_scores, parse_scores_lines, "p 0 1", "q 2 1 # y"),
+        (lambda text: parse_ranks(text, abc), lambda text: parse_ranks_lines(text, abc), "a 1", "zz"),
+    ]
+
+
 @pytest.mark.parametrize("brk", LINE_BREAKS)
 def test_a_comment_ends_at_every_line_boundary(brk):
-    for text, line in [
-        (f"elem a # x{brk}b c{brk}", 2),  # a break inside a comment
-        (f"elem a{brk}# x{brk}b c{brk}", 3),  # a break after a comment line
-        (f"elem a\r# x{brk}b c{brk}", 3),  # a "\r" before a comment ends a line of its own
-    ]:
-        with pytest.raises(ParseError) as excinfo:
-            parse_poset_lines(text)
-        assert str(excinfo.value) == f"line {line}: unrecognised line 'b c'"
-        with pytest.raises(ParseError) as excinfo:
-            parse_poset(text)
-        assert str(excinfo.value) == f"line {line}: unrecognised line 'b c'"
+    for read, reference, good, bad in comment_readers():
+        for text in [
+            f"{good} # x{brk}{bad}{brk}",  # a break inside a comment
+            f"{good}{brk}# x{brk}{bad}{brk}",  # a break after a comment line
+            f"{good}\r# x{brk}{bad}{brk}",  # a "\r" before a comment ends a line of its own
+        ]:
+            line = len(text[: text.rindex(bad)].splitlines()) + 1
+            with pytest.raises(ParseError) as want:
+                reference(text)
+            assert want.value.line == line
+            with pytest.raises(ParseError) as got:
+                read(text)
+            assert (str(got.value), got.value.line) == (str(want.value), line), repr(text)
 
 
 def chart_sized_files():
@@ -535,10 +556,6 @@ def test_parse_mapping_reports_errors_in_the_documented_order(abc_lattice, rows,
     assert str(caught.value) == message
     if error is ParseError:
         assert caught.value.line == int(message.split()[1].rstrip(":"))
-
-
-# every line boundary of str.splitlines()
-LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 
 @settings(max_examples=150)

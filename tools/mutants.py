@@ -25,10 +25,15 @@ ROOT = Path(__file__).resolve().parent.parent
 Mutant = namedtuple("Mutant", "name path old new tests")
 
 FORMATS = "src/posetlin/formats.py"
+LEVELS = "src/posetlin/levels.py"
+MAPPINGS = "src/posetlin/mappings.py"
 POSET = "src/posetlin/poset.py"
 
-# parse_poset's comment pattern, as written in its source: every line boundary
-# of str.splitlines
+ACCEPTANCE = "tests/test_acceptance.py"
+TEST_FORMATS = "tests/test_formats.py"
+
+# the comment pattern every reader cuts with, as written in its source: every
+# line boundary of str.splitlines
 LINE_BREAKS = ["\\n", "\\r", "\\x0b", "\\x0c", "\\x1c", "\\x1d", "\\x1e", "\\x85", "\\u2028", "\\u2029"]
 
 
@@ -36,37 +41,72 @@ def _comment_pattern(breaks):
     return '_COMMENT = re.compile("#[^' + "".join(breaks) + ']*")'
 
 
+# each reader's comment cut as written in its source, "{}" standing for the
+# cut text, with enough context that it appears once; and the text it cuts
+READER_CUTS = [
+    ("_first_fields", "lines = {}.splitlines()", "text[:size]"),
+    ("parse_mapping's rows", "rows = {}.splitlines()", "text"),
+    *(
+        (
+            reader,
+            "for lineno, line in enumerate({}.splitlines(), start=1):\n"
+            "        fields = line.split()\n"
+            "        if not fields:\n"
+            "            continue\n"
+            f"        if len(fields) != {width}:",
+            "text",
+        )
+        for reader, width in (("parse_scores", 3), ("parse_ranks", 2))
+    ),
+]
+
+
 MUTANTS = [
     *(
         Mutant(
-            f"parse_poset's comment class without {brk}",
+            f"the comment class without {brk}",
             FORMATS,
             _comment_pattern(LINE_BREAKS),
             _comment_pattern([b for b in LINE_BREAKS if b != brk]),
-            ["tests/test_formats.py"],
+            [TEST_FORMATS],
         )
         for brk in LINE_BREAKS
     ),
     Mutant(
         "parse_poset cuts comments to nothing, so a '\\r' and a '\\n' around one close up",
         FORMATS,
-        '_COMMENT.sub(" ", text)',
-        '_COMMENT.sub("", text)',
-        ["tests/test_formats.py"],
+        'text = _COMMENT.sub(" ", text)',
+        'text = _COMMENT.sub("", text)',
+        [TEST_FORMATS],
+    ),
+    *(
+        Mutant(
+            f"{reader} {what}",
+            FORMATS,
+            source.format(f'_COMMENT.sub(" ", {text})'),
+            source.format(new),
+            [TEST_FORMATS],
+        )
+        for reader, source, text in READER_CUTS
+        for what, new in (
+            ("cuts comments to nothing, so a '\\r' and a '\\n' around one close up",
+             f'_COMMENT.sub("", {text})'),
+            ("does not cut comments", text),
+        )
     ),
     Mutant(
         "parse_poset without the '<' count check",
         FORMATS,
         'if text.count("<") != sum(map(len, succ)):',
         "if False:",
-        ["tests/test_formats.py"],
+        [TEST_FORMATS],
     ),
     Mutant(
         "parse_poset's fault rescan numbers lines from 2",
         FORMATS,
         "for lineno, line in enumerate(text.splitlines(), start=1):",
         "for lineno, line in enumerate(text.splitlines(), start=2):",
-        ["tests/test_formats.py"],
+        [TEST_FORMATS],
     ),
     Mutant(
         "Poset._layers takes the shortest walk up",
@@ -74,6 +114,56 @@ MUTANTS = [
         "layer[i] = 1 + max(map(at, succ[i]))",
         "layer[i] = 1 + min(map(at, succ[i]))",
         ["tests/test_poset.py", "tests/test_levels.py"],
+    ),
+    Mutant(
+        "_closure_and_covers keeps every generating pair as a cover",
+        POSET,
+        "cover[i] = adj & ~reach",
+        "cover[i] = adj",
+        ["tests/test_poset.py"],
+    ),
+    # one per row of README's Claims table, killed by the tests that row names
+    Mutant(
+        "claim (i): compute_levels strips maximal elements in both directions",
+        LEVELS,
+        "layer = (p if direction == PRIMAL else p._dual())._layers()",
+        "layer = p._layers()",
+        [ACCEPTANCE, "tests/test_levels.py"],
+    ),
+    Mutant(
+        "claim (ii): extend keeps the greatest class in both modes",
+        MAPPINGS,
+        "sign = 1 if mode == MODE_OVER else -1",
+        "sign = 1",
+        [ACCEPTANCE, "tests/test_mappings.py"],
+    ),
+    Mutant(
+        "both characters in all four pairs: linearisations_equivalent always says they coincide",
+        LEVELS,
+        "return all(u + d == k - 1 for u, d in zip(up, down))",
+        "return all(u + d <= k - 1 for u, d in zip(up, down))",
+        ["tests/test_mappings.py", "tests/test_levels.py"],
+    ),
+    Mutant(
+        "the ELCC: satisfies_elcc lets a maximal element sit below the top dual level",
+        LEVELS,
+        "if above else g == top",
+        "if above else True",
+        [ACCEPTANCE, "tests/test_levels.py"],
+    ),
+    Mutant(
+        "no rank function: impossibility_witness maps the ordered pair to itself",
+        MAPPINGS,
+        "(True, False): b, (False, True): a,",
+        "(True, False): a, (False, True): b,",
+        [ACCEPTANCE, "tests/test_mappings.py"],
+    ),
+    Mutant(
+        "top-k ranking: rank_items sweeps the intervals in file order, not sorted",
+        FORMATS,
+        "for key in sorted(first):",
+        "for key in first:",
+        [ACCEPTANCE, TEST_FORMATS],
     ),
 ]
 
