@@ -6,9 +6,12 @@ in process.  A ``chart``, ``corpus`` or ``rank`` request runs as built
 (``--json``) and again with ``--json`` dropped.  An ``extend`` request, which
 the benchmark serves through the library, runs as ``extend DOM COD MAP --mode
 M`` for both modes and all four ``--domain-dual``/``--codomain-dual``
-settings, each with ``--json`` and without.  ``golden.txt`` keeps one short
-digest per record, in a fixed order, beside the record's name;
-``tests/test_golden.py`` recomputes them.  After a deliberate change of
+settings, each with ``--json`` and without.  Then come fixed requests, under
+seed ``-``: README's example files through each subcommand that reads them
+(``readme``), and ``extend`` errors and a missing file (``errors``), each
+with ``--json`` and without.  ``golden.txt`` keeps one short digest per
+record, in a fixed order, beside the record's name; ``tests/test_golden.py``
+recomputes them.  After a deliberate change of
 output, regenerate the file with::
 
     python tests/golden.py --write
@@ -32,6 +35,41 @@ DECKS = (
     ("extend", 1), ("extend", 2),
 )
 MODES = ("over", "under")
+DUALS = ([], ["--domain-dual"], ["--codomain-dual"], ["--domain-dual", "--codomain-dual"])
+
+# README's File formats examples, and the two chains its mapping example reads
+README_FILES = {
+    "lattice.poset": "# a five element lattice\nelem bot\nbot < a\na < b\nb < top\nbot < c\nc < top\n",
+    "f.map": "arity 2\nx x -> lo\nx y -> hi\ny x -> hi\ny y -> hi\n",
+    "scores.txt": "p 0.9 1.0\nq 0.2 0.4\nr 0.1 0.8\n",
+    "ranks.txt": "bot 0\na 1\nb 1\ntop 2\n",
+}
+FIXED_FILES = {
+    **README_FILES,
+    "dom.poset": "x < y\n",
+    "cod.poset": "lo < hi\n",
+    # one fault each, in the order README's mapping errors come
+    "malformed.map": "arity 2\nx x -> lo\nx y hi\n",
+    "conflict.map": "arity 2\nx x -> lo\nx x -> hi\n",
+    "unknown-domain.map": "arity 2\nx x -> lo\nx z -> hi\n",
+    "unknown-value.map": "arity 2\nx x -> lo\nx y -> mid\n",
+    "missing-tuple.map": "arity 2\nx x -> lo\nx y -> hi\ny x -> hi\n",
+    "over-cap.map": "arity 20\nx x -> lo\n",
+}
+FIXED = [
+    *(("readme", [cmd, "lattice.poset", *flags]) for cmd, flags in (
+        ("check", []), ("levels", []), ("levels", ["--dual", "--oracle"]),
+        ("elcc", ["--oracle"]), ("equiv", []),
+    )),
+    ("readme", ["witness", "lattice.poset", "ranks.txt"]),
+    *(("readme", ["extend", "dom.poset", "cod.poset", "f.map", "--mode", mode, *dual])
+      for mode in MODES for dual in DUALS),
+    *(("readme", ["rank", "scores.txt", "-k", k, *dual]) for k in "123" for dual in ([], ["--dual"])),
+    *(("errors", ["extend", "dom.poset", "cod.poset", f"{fault}.map", "--mode", "under"])
+      for fault in ("malformed", "conflict", "unknown-domain", "unknown-value", "missing-tuple", "over-cap")),
+    ("errors", ["check", "missing.poset"]),
+    ("errors", ["extend", "dom.poset", "cod.poset", "missing.map", "--mode", "over"]),
+]
 HEADER = "# digest workload seed argv; regenerate with: python tests/golden.py --write"
 
 
@@ -55,7 +93,7 @@ def argvs(request):
         return
     dom, cod, table = request["files"]
     for mode in MODES:
-        for dual in ([], ["--domain-dual"], ["--codomain-dual"], ["--domain-dual", "--codomain-dual"]):
+        for dual in DUALS:
             argv = ["extend", dom, cod, table, "--mode", mode, *dual]
             yield argv + ["--json"]
             yield argv
@@ -68,26 +106,34 @@ def _run(main, argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _records(main, directory, files, requests):
+    """``(name, digest)`` of each ``(workload, seed, argv)`` request, run with
+    ``files`` written to ``directory``, which the argv name them relative to."""
+    directory.mkdir()
+    for name, text in files.items():
+        (directory / name).write_text(text, encoding="utf-8")
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        for workload, seed, argv in requests:
+            record = json.dumps([argv, *_run(main, argv)])
+            digest = hashlib.sha256(record.encode()).hexdigest()[:16]
+            yield f"{workload} {seed} {' '.join(argv)}", digest
+    finally:
+        os.chdir(cwd)
+
+
 def records(directory):
-    """``(name, digest)`` of every record, in order; deck files go under ``directory``."""
+    """``(name, digest)`` of every record, in order; request files go under ``directory``."""
     from posetlin.cli import main
 
-    build, found, cwd = deck_builder(), [], os.getcwd()
+    build, found = deck_builder(), []
     for workload, seed in DECKS:
         files, manifest = build(workload, seed)
-        deck_dir = Path(directory) / f"{workload}{seed}"
-        deck_dir.mkdir()
-        for name, text in files.items():
-            (deck_dir / name).write_text(text, encoding="utf-8")
-        os.chdir(deck_dir)  # the argv name the files relative to their directory
-        try:
-            for request in manifest["deck"]:
-                for argv in argvs(request):
-                    record = json.dumps([argv, *_run(main, argv)])
-                    digest = hashlib.sha256(record.encode()).hexdigest()[:16]
-                    found.append((f"{workload} {seed} {' '.join(argv)}", digest))
-        finally:
-            os.chdir(cwd)
+        requests = ((workload, seed, argv) for r in manifest["deck"] for argv in argvs(r))
+        found.extend(_records(main, Path(directory) / f"{workload}{seed}", files, requests))
+    fixed = ((group, "-", argv + flag) for group, argv in FIXED for flag in (["--json"], []))
+    found.extend(_records(main, Path(directory) / "fixed", FIXED_FILES, fixed))
     return found
 
 

@@ -5,6 +5,7 @@ import re
 from pathlib import Path
 from types import ModuleType
 
+import golden
 import posetlin
 from posetlin import errors, formats, levels, mappings, oracle, poset
 
@@ -103,3 +104,8 @@ def test_readme_claims_table_names_exported_functions_and_existing_tests():
         assert numbers or named, row
         assert set(numbers) <= criteria, row
         assert set(named) <= defined, row
+
+
+def test_readme_file_format_examples_are_the_golden_corpus_files():
+    blocks = re.findall(r"```\n(.*?)```", _section("File formats"), re.S)
+    assert blocks == list(golden.README_FILES.values())
