@@ -7,6 +7,7 @@ caps, ...), 2 on parse errors.
 import argparse
 import functools
 import sys
+from itertools import product
 
 from .errors import OracleMismatchError, ParseError, PosetlinError
 from .formats import (
@@ -108,11 +109,12 @@ def _cmd_extend(args):
         print(f"mode: {cm.mode}")
         domain_labels = [f"[{' '.join(c)}]" for c in domain_lin.classes_ascending()]
         codomain_labels = [f"[{' '.join(c)}]" for c in codomain_lin.classes_ascending()]
-        entries, monotone, antitone = cm._report()
-        for key, value in entries:
-            print(" x ".join(domain_labels[r] for r in key), "->", codomain_labels[value])
-        print(f"monotone: {monotone}")
-        print(f"antitone: {antitone}")
+        # product walks the rank tuple's order; rows go out as made, never held whole
+        keys = product(domain_labels, repeat=cm.arity)
+        rows = zip(keys, map(codomain_labels.__getitem__, cm.ranks))
+        sys.stdout.writelines(f"{' x '.join(key)} -> {value}\n" for key, value in rows)
+        monotone, antitone = cm._report()
+        print(f"monotone: {monotone}\nantitone: {antitone}")
 
 
 def _cmd_witness(args):

@@ -40,7 +40,7 @@ import re
 from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 from math import lcm
 
 from .errors import DuplicateElementError, EmptyInputError, ParseError, UnknownElementError
@@ -364,13 +364,14 @@ def emit_json(value):
     if isinstance(value, Linearisation):
         payload = _linearisation(value)
     elif isinstance(value, ClassMapping):
-        entries, monotone, antitone = value._report()
+        monotone, antitone = value._report()
+        keys = product(range(value.domain_lin.num_classes), repeat=value.arity)
         payload = {
             "mode": value.mode,
             "arity": value.arity,
             "domain": _linearisation(value.domain_lin),
             "codomain": _linearisation(value.codomain_lin),
-            "entries": list(entries),
+            "entries": list(zip(keys, value.ranks)),
             "monotone": monotone,
             "antitone": antitone,
         }

@@ -198,20 +198,17 @@ class ClassMapping(namedtuple("ClassMapping", "domain_lin codomain_lin arity mod
         return dict(zip(keys, self.ranks))
 
     def _report(self):
-        """``ranked_table()`` items, ``is_monotone()`` and ``is_antitone()``,
-        from ``ranks`` and one set of cover-step pairs."""
-        ranked, arity, m = self.ranks, self.arity, self.domain_lin.num_classes
+        """``(is_monotone(), is_antitone())`` from one set of cover-step pairs."""
+        m = self.domain_lin.num_classes
         # both sides are chains of ranks: r + 1 covers r, and ranks compare as integers
-        pairs = _cover_pairs(ranked, m, arity, [(r, (r + 1,)) for r in range(m - 1)])
-        monotone = all(u <= v for u, v in pairs)
-        antitone = all(u >= v for u, v in pairs)
-        return zip(product(range(m), repeat=arity), ranked), monotone, antitone
+        pairs = _cover_pairs(self.ranks, m, self.arity, [(r, (r + 1,)) for r in range(m - 1)])
+        return all(u <= v for u, v in pairs), all(u >= v for u, v in pairs)
 
     def is_monotone(self):
-        return self._report()[1]
+        return self._report()[0]
 
     def is_antitone(self):
-        return self._report()[2]
+        return self._report()[1]
 
 
 def extend(table, domain_lin, codomain_lin, mode):

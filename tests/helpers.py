@@ -4,8 +4,9 @@ the sandwich check on extensions, the up-set that refutes claim (ii) off
 coinciding decompositions, reference readers for the file formats, one
 logical line at a time, the CLI's earlier dispatch and file reader, the
 earlier pairwise form of ``brute_levels``, longest cover walks from a list
-of covers, and class-mapping JSON composed from public calls."""
+of covers, and class-mapping JSON and text composed from public calls."""
 
+import io
 import sys
 from fractions import Fraction
 from itertools import product
@@ -374,6 +375,21 @@ def emit_class_mapping_composed(cm):
         "monotone": cm.is_monotone(),
         "antitone": cm.is_antitone(),
     })
+
+
+def extend_text_lines(cm):
+    """``posetlin extend``'s text output of a class mapping, as lines: the
+    earlier loop of one label lookup per argument and one ``print`` per
+    entry, over ``ranked_table`` and the two public checks."""
+    domain_labels = [f"[{' '.join(c)}]" for c in cm.domain_lin.classes_ascending()]
+    codomain_labels = [f"[{' '.join(c)}]" for c in cm.codomain_lin.classes_ascending()]
+    out = io.StringIO()
+    print(f"mode: {cm.mode}", file=out)
+    for key, value in cm.ranked_table().items():
+        print(" x ".join(domain_labels[r] for r in key), "->", codomain_labels[value], file=out)
+    print(f"monotone: {cm.is_monotone()}", file=out)
+    print(f"antitone: {cm.is_antitone()}", file=out)
+    return out.getvalue().splitlines()
 
 
 def _score_value(text):

@@ -16,9 +16,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import posetlin
-from posetlin import Linearisation, SplitMix64, cli, formats
+from posetlin import (
+    DUAL,
+    PRIMAL,
+    Linearisation,
+    MappingTable,
+    SplitMix64,
+    cli,
+    compute_levels,
+    extend,
+    formats,
+    random_poset,
+)
 from posetlin.cli import main
-from helpers import main_via_root, read_text_mode
+from helpers import EDGE_PROBS, extend_text_lines, main_via_root, read_text_mode
 
 ABC_FILE = """\
 elem bot
@@ -208,6 +219,77 @@ def test_extend_with_dual_directions(files, capsys):
     payload = json.loads(out)
     assert payload["domain"]["direction"] == "dual"
     assert payload["codomain"]["direction"] == "dual"
+
+
+EXTEND_DOMAIN = {1: 12, 2: 8, 3: 5}
+DUAL_FLAGS = ([], ["--domain-dual"], ["--codomain-dual"], ["--domain-dual", "--codomain-dual"])
+
+
+@settings(max_examples=60)
+@given(
+    arity=st.integers(1, 3),
+    seed=st.integers(0, 2**32),
+    probs=st.tuples(st.sampled_from(EDGE_PROBS), st.sampled_from(EDGE_PROBS)),
+    data=st.data(),
+)
+def test_extend_text_equals_the_per_entry_print_loop_on_drawn_tables(
+    tmp_path_factory, arity, seed, probs, data
+):
+    dom = random_poset(seed, data.draw(st.integers(1, EXTEND_DOMAIN[arity])), probs[0])
+    cod = random_poset(seed + 1, data.draw(st.integers(1, 6)), probs[1])
+    keys = list(product(dom.elements, repeat=arity))
+    images = st.sampled_from(cod.elements)
+    images = data.draw(st.lists(images, min_size=len(keys), max_size=len(keys)))
+    table = MappingTable(dom, arity, cod, dict(zip(keys, images)))
+    rows = "".join(f"{' '.join(k)} -> {v}\n" for k, v in zip(keys, images))
+    root = tmp_path_factory.mktemp("extend")
+    paths = []
+    for name, text in (("dom", formats.render_poset(dom)), ("cod", formats.render_poset(cod)),
+                       ("map", f"arity {arity}\n{rows}")):
+        (root / name).write_text(text, encoding="utf-8")
+        paths.append(str(root / name))
+    for mode, dual in product(("over", "under"), DUAL_FLAGS):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["extend", *paths, "--mode", mode, *dual]) == 0
+        lins = [
+            compute_levels(p, DUAL if flag in dual else PRIMAL)
+            for p, flag in ((dom, "--domain-dual"), (cod, "--codomain-dual"))
+        ]
+        cm = extend(table, *lins, mode)
+        assert out.getvalue().splitlines() == extend_text_lines(cm), (mode, dual)
+
+
+class _LongestWrite(io.StringIO):
+    """A stdout that keeps what is written and the length of its longest write."""
+
+    longest = 0
+
+    def write(self, text):
+        self.longest = max(self.longest, len(text))
+        return super().write(text)
+
+
+def test_extend_text_streams_its_rows_in_short_writes(files):
+    # 40**3 = 64,000 entries, about 1.3 MB of text: one write of it all would
+    # hold a second copy of the whole output
+    texts = {
+        "dom.poset": "".join(f"x{i} < x{i + 1}\n" for i in range(39)),
+        "cod.poset": "".join(f"y{i} < y{i + 1}\n" for i in range(6)),
+        "f.map": "arity 3\n" + "".join(
+            f"x{i} x{j} x{k} -> y{(i + j + k) // 18}\n" for i, j, k in product(range(40), repeat=3)
+        ),
+    }
+    out = _LongestWrite()
+    with redirect_stdout(out):
+        assert main(["extend", *map(files, texts, texts.values()), "--mode", "over"]) == 0
+    text = out.getvalue()
+    assert len(text) > 1_000_000 and text.count("\n") == 64_003
+    assert out.longest <= 64 * 1024
+    dom, cod = (formats.parse_poset(texts[name]) for name in ("dom.poset", "cod.poset"))
+    table = formats.parse_mapping(texts["f.map"], dom, cod)
+    cm = extend(table, compute_levels(dom, PRIMAL), compute_levels(cod, PRIMAL), "over")
+    assert text.splitlines() == extend_text_lines(cm)
 
 
 def test_witness_ordered(files, capsys):

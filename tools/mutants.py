@@ -24,13 +24,16 @@ ROOT = Path(__file__).resolve().parent.parent
 
 Mutant = namedtuple("Mutant", "name path old new tests")
 
+CLI = "src/posetlin/cli.py"
 FORMATS = "src/posetlin/formats.py"
 LEVELS = "src/posetlin/levels.py"
 MAPPINGS = "src/posetlin/mappings.py"
 POSET = "src/posetlin/poset.py"
 
 ACCEPTANCE = "tests/test_acceptance.py"
+TEST_CLI = "tests/test_cli.py"
 TEST_FORMATS = "tests/test_formats.py"
+TEST_MAPPINGS = "tests/test_mappings.py"
 
 # the comment pattern every reader cuts with, as written in its source: every
 # line boundary of str.splitlines
@@ -121,6 +124,28 @@ MUTANTS = [
         "cover[i] = adj & ~reach",
         "cover[i] = adj",
         ["tests/test_poset.py"],
+    ),
+    # the extend outputs, both read off the rank tuple
+    Mutant(
+        "ClassMapping._report returns the two flags swapped",
+        MAPPINGS,
+        "return all(u <= v for u, v in pairs), all(u >= v for u, v in pairs)",
+        "return all(u >= v for u, v in pairs), all(u <= v for u, v in pairs)",
+        [TEST_MAPPINGS, TEST_CLI],
+    ),
+    Mutant(
+        "extend's text rows join the argument labels with ' ', not ' x '",
+        CLI,
+        "{' x '.join(key)} -> {value}",
+        "{' '.join(key)} -> {value}",
+        [TEST_CLI],
+    ),
+    Mutant(
+        "emit_json zips the class keys with the ranks reversed",
+        FORMATS,
+        '"entries": list(zip(keys, value.ranks)),',
+        '"entries": list(zip(keys, reversed(value.ranks))),',
+        [TEST_MAPPINGS, TEST_CLI],
     ),
     # one per row of README's Claims table, killed by the tests that row names
     Mutant(
