@@ -271,7 +271,7 @@ class _LongestWrite(io.StringIO):
 
 
 def test_extend_text_streams_its_rows_in_short_writes(files):
-    # 40**3 = 64,000 entries, about 1.3 MB of text: one write of it all would
+    # 40**3 = 64,000 entries, about 1.9 MB of text: one write of it all would
     # hold a second copy of the whole output
     texts = {
         "dom.poset": "".join(f"x{i} < x{i + 1}\n" for i in range(39)),

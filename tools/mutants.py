@@ -31,9 +31,7 @@ MAPPINGS = "src/posetlin/mappings.py"
 POSET = "src/posetlin/poset.py"
 
 ACCEPTANCE = "tests/test_acceptance.py"
-TEST_CLI = "tests/test_cli.py"
 TEST_FORMATS = "tests/test_formats.py"
-TEST_MAPPINGS = "tests/test_mappings.py"
 
 # the comment pattern every reader cuts with, as written in its source: every
 # line boundary of str.splitlines
@@ -131,21 +129,21 @@ MUTANTS = [
         MAPPINGS,
         "return all(u <= v for u, v in pairs), all(u >= v for u, v in pairs)",
         "return all(u >= v for u, v in pairs), all(u <= v for u, v in pairs)",
-        [TEST_MAPPINGS, TEST_CLI],
+        ["tests/test_mappings.py", "tests/test_cli.py"],
     ),
     Mutant(
         "extend's text rows join the argument labels with ' ', not ' x '",
         CLI,
         "{' x '.join(key)} -> {value}",
         "{' '.join(key)} -> {value}",
-        [TEST_CLI],
+        ["tests/test_cli.py"],
     ),
     Mutant(
         "emit_json zips the class keys with the ranks reversed",
         FORMATS,
         '"entries": list(zip(keys, value.ranks)),',
         '"entries": list(zip(keys, reversed(value.ranks))),',
-        [TEST_MAPPINGS, TEST_CLI],
+        ["tests/test_mappings.py", "tests/test_cli.py"],
     ),
     # one per row of README's Claims table, killed by the tests that row names
     Mutant(
