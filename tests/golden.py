@@ -8,11 +8,11 @@ the benchmark serves through the library, runs as ``extend DOM COD MAP --mode
 M`` for both modes and all four ``--domain-dual``/``--codomain-dual``
 settings, each with ``--json`` and without.  Then come fixed requests, under
 seed ``-``: README's example files through each subcommand that reads them
-(``readme``), and ``extend`` errors and a missing file (``errors``), each
-with ``--json`` and without.  ``golden.txt`` keeps one short digest per
-record, in a fixed order, beside the record's name; ``tests/test_golden.py``
-recomputes them.  After a deliberate change of
-output, regenerate the file with::
+(``readme``), and ``extend`` errors, a ranks file that leaves out an
+element and a missing file (``errors``), each with ``--json`` and without.
+``golden.txt`` keeps one short digest per record, in a fixed order, beside
+the record's name; ``tests/test_golden.py`` recomputes them.  After a
+deliberate change of output, regenerate the file with::
 
     python tests/golden.py --write
 
@@ -55,6 +55,8 @@ FIXED_FILES = {
     "unknown-value.map": "arity 2\nx x -> lo\nx y -> mid\n",
     "missing-tuple.map": "arity 2\nx x -> lo\nx y -> hi\ny x -> hi\n",
     "over-cap.map": "arity 20\nx x -> lo\n",
+    # an earlier README ranks example, which leaves out c
+    "partial-ranks.txt": "bot 0\na 1\nb 1\ntop 2\n",
 }
 FIXED = [
     *(("readme", [cmd, "lattice.poset", *flags]) for cmd, flags in (
@@ -69,6 +71,7 @@ FIXED = [
       for fault in ("malformed", "conflict", "unknown-domain", "unknown-value", "missing-tuple", "over-cap")),
     ("errors", ["check", "missing.poset"]),
     ("errors", ["extend", "dom.poset", "cod.poset", "missing.map", "--mode", "over"]),
+    ("errors", ["witness", "lattice.poset", "partial-ranks.txt"]),
 ]
 HEADER = "# digest workload seed argv; regenerate with: python tests/golden.py --write"
 
