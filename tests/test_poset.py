@@ -160,6 +160,23 @@ def test_order_queries_reject_unknown_elements(abc_lattice):
             query("zz")
 
 
+PAIR_QUERIES = {
+    "leq": lambda p, x, y: p.leq(x, y),
+    "lt": lambda p, x, y: p.lt(x, y),
+    "incomparable": lambda p, x, y: p.incomparable(x, y),
+    "sup": lambda p, x, y: p.sup(x, y),
+    "inf": lambda p, x, y: p.inf(x, y),
+    "tuple_leq": lambda p, x, y: p.tuple_leq((x,), (y,)),
+}
+
+
+@pytest.mark.parametrize("query", PAIR_QUERIES)
+@pytest.mark.parametrize("pair", [("zz", "bot"), ("bot", "zz"), ("zz", "yy")])
+def test_pair_queries_name_the_first_unknown_argument(abc_lattice, query, pair):
+    with pytest.raises(UnknownElementError, match="^unknown element 'zz'$"):
+        PAIR_QUERIES[query](abc_lattice, *pair)
+
+
 def test_is_linear():
     assert chain(3).is_linear()
     assert build_poset(["x"], []).is_linear()
