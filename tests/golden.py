@@ -42,7 +42,7 @@ README_FILES = {
     "lattice.poset": "# a five element lattice\nelem bot\nbot < a\na < b\nb < top\nbot < c\nc < top\n",
     "f.map": "arity 2\nx x -> lo\nx y -> hi\ny x -> hi\ny y -> hi\n",
     "scores.txt": "p 0.9 1.0\nq 0.2 0.4\nr 0.1 0.8\n",
-    "ranks.txt": "bot 0\na 1\nb 1\ntop 2\n",
+    "ranks.txt": "bot 0\na 1\nb 2\nc 1\ntop 3\n",
 }
 FIXED_FILES = {
     **README_FILES,
