@@ -285,7 +285,7 @@ def parse_ranks(text, p):
             raise ParseError(f"rank is not an integer: {rank_text!r}", lineno) from None
     for x in p.elements:
         if x not in ranks:
-            raise ParseError(f"no rank given for element {x!r}", 1)
+            raise ParseError(f"no rank given for element {x!r}")
     return ranks
 
 

@@ -192,11 +192,6 @@ class ClassMapping(namedtuple("ClassMapping", "domain_lin codomain_lin arity mod
         backwards = self.domain_lin.direction == PRIMAL  # ranks[~slot] is ranks[m**arity-1-slot]
         return self.codomain_lin.rank(self.ranks[~slot if backwards else slot])
 
-    def ranked_table(self):
-        """The table in ascending rank coordinates (0 = least class), sorted by key."""
-        keys = product(range(self.domain_lin.num_classes), repeat=self.arity)
-        return dict(zip(keys, self.ranks))
-
     def _report(self):
         """``(is_monotone(), is_antitone())`` from one set of cover-step pairs."""
         m = self.domain_lin.num_classes

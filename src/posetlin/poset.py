@@ -158,19 +158,7 @@ class Poset:
         try:
             return self._pos[x]
         except KeyError:
-            raise self._unknown(x) from None
-
-    def _pair(self, x, y):
-        """Declaration indices of ``x`` and ``y``."""
-        try:
-            return self._pos[x], self._pos[y]
-        except KeyError:
-            raise self._unknown(x, y) from None
-
-    def _unknown(self, *names):
-        """The error naming the first of ``names`` that is not an element."""
-        name = next(x for x in names if x not in self._pos)
-        return UnknownElementError(f"unknown element {name!r}")
+            raise UnknownElementError(f"unknown element {x!r}") from None
 
     def _pair_counts(self):
         """Numbers of strict pairs and of cover pairs, package-internal."""
@@ -224,15 +212,15 @@ class Poset:
         return self._dual().covers_above(x)
 
     def lt(self, x, y):
-        i, j = self._pair(x, y)
+        i, j = self.position(x), self.position(y)
         return self._closure()[0][i] >> j & 1 == 1
 
     def leq(self, x, y):
-        i, j = self._pair(x, y)
+        i, j = self.position(x), self.position(y)
         return i == j or self._closure()[0][i] >> j & 1 == 1
 
     def incomparable(self, x, y):
-        i, j = self._pair(x, y)
+        i, j = self.position(x), self.position(y)
         up = self._closure()[0]
         return i != j and (up[i] >> j | up[j] >> i) & 1 == 0
 
@@ -259,7 +247,7 @@ class Poset:
         """The least upper bound of ``x`` and ``y``: the element whose reflexive
         up-set is the intersection of theirs.  ``NotALatticeError`` names
         ``what`` if no element has that set."""
-        i, j = self._pair(x, y)
+        i, j = self.position(x), self.position(y)
         up = self._closure()[0]
         common = (up[i] | 1 << i) & (up[j] | 1 << j)
         for k in _indices(common):

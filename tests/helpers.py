@@ -362,16 +362,24 @@ def parse_mapping_lines(text, domain, codomain):
     return MappingTable(domain, arity, codomain, entries)
 
 
+def rank_entries(cm):
+    """A class mapping's ``(key, value)`` entries in ascending rank coordinates
+    (0 = least class), sorted by key: its level-index ``table`` mapped through
+    both sides' ``Linearisation.rank``, never through ``ranks``' layout."""
+    dom, cod = cm.domain_lin, cm.codomain_lin
+    return sorted((tuple(map(dom.rank, key)), cod.rank(value)) for key, value in cm.table.items())
+
+
 def emit_class_mapping_composed(cm):
     """``emit_json`` of a class mapping as composed from the public calls
-    ``ranked_table``, ``is_monotone`` and ``is_antitone``."""
+    ``table``, ``is_monotone`` and ``is_antitone``."""
     dom, cod = cm.domain_lin, cm.codomain_lin
     return canonical_json({
         "mode": cm.mode,
         "arity": cm.arity,
         "domain": {"direction": dom.direction, "classes": dom.classes_ascending()},
         "codomain": {"direction": cod.direction, "classes": cod.classes_ascending()},
-        "entries": list(cm.ranked_table().items()),
+        "entries": rank_entries(cm),
         "monotone": cm.is_monotone(),
         "antitone": cm.is_antitone(),
     })
@@ -380,12 +388,12 @@ def emit_class_mapping_composed(cm):
 def extend_text_lines(cm):
     """``posetlin extend``'s text output of a class mapping, as lines: the
     earlier loop of one label lookup per argument and one ``print`` per
-    entry, over ``ranked_table`` and the two public checks."""
+    entry, over ``rank_entries`` and the two public checks."""
     domain_labels = [f"[{' '.join(c)}]" for c in cm.domain_lin.classes_ascending()]
     codomain_labels = [f"[{' '.join(c)}]" for c in cm.codomain_lin.classes_ascending()]
     out = io.StringIO()
     print(f"mode: {cm.mode}", file=out)
-    for key, value in cm.ranked_table().items():
+    for key, value in rank_entries(cm):
         print(" x ".join(domain_labels[r] for r in key), "->", codomain_labels[value], file=out)
     print(f"monotone: {cm.is_monotone()}", file=out)
     print(f"antitone: {cm.is_antitone()}", file=out)
@@ -450,7 +458,7 @@ def parse_ranks_lines(text, p):
             raise ParseError(f"rank is not an integer: {rank_text!r}", lineno) from None
     for x in p.elements:
         if x not in ranks:
-            raise ParseError(f"no rank given for element {x!r}", 1)
+            raise ParseError(f"no rank given for element {x!r}")
     return ranks
 
 

@@ -776,8 +776,9 @@ def test_parse_ranks_errors(diamond):
         parse_ranks("zz 0\n", diamond)
     with pytest.raises(ParseError, match="duplicate"):
         parse_ranks("bot 0\nbot 1\na 1\nb 1\ntop 2\n", diamond)
-    with pytest.raises(ParseError, match="no rank"):
+    with pytest.raises(ParseError, match="^no rank given for element 'top'$") as excinfo:
         parse_ranks("bot 0\na 1\nb 1\n", diamond)
+    assert excinfo.value.line is None
     with pytest.raises(ParseError):
         parse_ranks("bot zero\na 1\nb 1\ntop 2\n", diamond)
 

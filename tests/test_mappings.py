@@ -612,11 +612,13 @@ def test_extend_matches_the_class_product_reference_on_drawn_tables(arity, seed,
     images = data.draw(st.lists(images, min_size=len(keys), max_size=len(keys)))
     for cm in _extensions_match_brute(MappingTable(dom, arity, cod, dict(zip(keys, images)))):
         # the level-index view and calls read the rank tuple, reversed on a primal domain
-        dom_lin, cod_lin, view, ranked = cm.domain_lin, cm.codomain_lin, cm.table, cm.ranked_table()
-        assert list(view) == list(product(range(dom_lin.num_classes), repeat=arity))
+        dom_lin, cod_lin, view = cm.domain_lin, cm.codomain_lin, cm.table
+        m = dom_lin.num_classes
+        assert list(view) == list(product(range(m), repeat=arity))
         for k, value in view.items():
             assert cm(*k) == value
-            assert ranked[tuple(map(dom_lin.rank, k))] == cod_lin.rank(value)
+            slot = sum(dom_lin.rank(i) * m ** (arity - 1 - a) for a, i in enumerate(k))
+            assert cm.ranks[slot] == cod_lin.rank(value)
 
 
 def test_emit_json_equals_its_composition_from_public_calls():
