@@ -110,6 +110,29 @@ MUTANTS = [
         [TEST_FORMATS],
     ),
     Mutant(
+        "parse_ranks without its completeness loop",
+        FORMATS,
+        "    for x in p.elements:\n"
+        "        if x not in ranks:\n"
+        '            raise ParseError(f"no rank given for element {x!r}")\n',
+        "",
+        [TEST_FORMATS],
+    ),
+    Mutant(
+        "parse_ranks names line 1 for a missing rank",
+        FORMATS,
+        'raise ParseError(f"no rank given for element {x!r}")',
+        'raise ParseError(f"no rank given for element {x!r}", 1)',
+        [TEST_FORMATS],
+    ),
+    Mutant(
+        "Poset.lt resolves its arguments swapped",
+        POSET,
+        "def lt(self, x, y):\n        i, j = self.position(x), self.position(y)",
+        "def lt(self, x, y):\n        i, j = self.position(y), self.position(x)",
+        ["tests/test_poset.py"],
+    ),
+    Mutant(
         "Poset._layers takes the shortest walk up",
         POSET,
         "layer[i] = 1 + max(map(at, succ[i]))",
