@@ -1,13 +1,14 @@
 """Command line front-end.
 
-Exit codes: 0 on success, 1 on domain errors (cycles, missing bounds, size
-caps, ...), 2 on parse errors.
+Exit codes: 0 on success; 1 on domain errors (cycles, missing bounds, size
+caps, ...), on an input file that is missing, unreadable or not UTF-8, and
+on a ``-k`` below 1; 2 on parse errors.
 """
 
 import argparse
 import functools
 import sys
-from itertools import product
+from itertools import chain, product
 
 from .errors import OracleMismatchError, ParseError, PosetlinError
 from .formats import (
@@ -30,12 +31,13 @@ def _read(path):
         return handle.read().decode("utf-8")
 
 
-def _load_poset(path):
-    return parse_poset(_read(path))
+def _emit(args, payload, lines):
+    """Print ``payload`` as canonical JSON under ``--json``, else ``lines``, read only then."""
+    print(canonical_json(payload) if args.json else "\n".join(lines))
 
 
 def _cmd_check(args):
-    p = _load_poset(args.poset)
+    p = parse_poset(_read(args.poset))
     strict_pairs, cover_pairs = p._pair_counts()
     info = {
         "elements": len(p),
@@ -45,15 +47,11 @@ def _cmd_check(args):
         "lattice": p.is_lattice(),
         "elcc": satisfies_elcc(p) if len(p) else None,
     }
-    if args.json:
-        print(canonical_json(info))
-    else:
-        for key, value in info.items():
-            print(f"{key}: {value}")
+    _emit(args, info, (f"{key}: {value}" for key, value in info.items()))
 
 
 def _cmd_levels(args):
-    p = _load_poset(args.poset)
+    p = parse_poset(_read(args.poset))
     direction = DUAL if args.dual else PRIMAL
     lin = compute_levels(p, direction)
     if args.oracle:
@@ -69,36 +67,28 @@ def _cmd_levels(args):
 
 
 def _cmd_elcc(args):
-    p = _load_poset(args.poset)
+    p = parse_poset(_read(args.poset))
     result = satisfies_elcc(p)
-    lengths = None
+    payload = {"elcc": result}
+    lines = ["true" if result else "false"]
     if args.oracle:
         lengths = sorted({len(c) for c in enumerate_maximal_chains(p)})
         if (len(lengths) == 1) != result:
             raise OracleMismatchError(f"ELCC {result} disagrees with chain lengths {lengths}")
-    if args.json:
-        payload = {"elcc": result}
-        if lengths is not None:
-            payload["chain_lengths"] = lengths
-        print(canonical_json(payload))
-    else:
-        print("true" if result else "false")
-        if lengths is not None:
-            print(f"maximal chain lengths: {' '.join(map(str, lengths))}")
+        payload["chain_lengths"] = lengths
+        lines.append(f"maximal chain lengths: {' '.join(map(str, lengths))}")
+    _emit(args, payload, lines)
 
 
 def _cmd_equiv(args):
-    p = _load_poset(args.poset)
+    p = parse_poset(_read(args.poset))
     result = linearisations_equivalent(p)
-    if args.json:
-        print(canonical_json({"equivalent": result}))
-    else:
-        print("true" if result else "false")
+    _emit(args, {"equivalent": result}, ["true" if result else "false"])
 
 
 def _cmd_extend(args):
-    domain = _load_poset(args.domain_poset)
-    codomain = _load_poset(args.codomain_poset)
+    domain = parse_poset(_read(args.domain_poset))
+    codomain = parse_poset(_read(args.codomain_poset))
     table = parse_mapping(_read(args.mapping), domain, codomain)
     domain_lin = compute_levels(domain, DUAL if args.domain_dual else PRIMAL)
     codomain_lin = compute_levels(codomain, DUAL if args.codomain_dual else PRIMAL)
@@ -118,23 +108,20 @@ def _cmd_extend(args):
 
 
 def _cmd_witness(args):
-    p = _load_poset(args.poset)
+    p = parse_poset(_read(args.poset))
     ranks = parse_ranks(_read(args.ranks), p)
     witness = impossibility_witness(p, ranks)
-    if args.json:
-        payload = {
-            "case": witness.case,
-            "pair": witness.pair,
-            "map": {x: witness.witness_map(x) for x in p.elements},
-            "violation": witness.violation,
-        }
-        print(canonical_json(payload))
-    else:
-        print(f"case: {witness.case}")
-        print(f"pair: {witness.pair[0]} {witness.pair[1]}")
-        for x in p.elements:
-            print(f"f({x}) = {witness.witness_map(x)}")
-        print(f"violation: {witness.violation}")
+    payload = {
+        "case": witness.case,
+        "pair": witness.pair,
+        "map": {x: witness.witness_map(x) for x in p.elements},
+        "violation": witness.violation,
+    }
+    _emit(args, payload, chain(
+        (f"case: {witness.case}", f"pair: {witness.pair[0]} {witness.pair[1]}"),
+        (f"f({x}) = {y}" for x, y in payload["map"].items()),
+        (f"violation: {witness.violation}",),
+    ))
 
 
 def _cmd_rank(args):
@@ -210,12 +197,9 @@ def main(argv=None):
         args = parser.parse_args(argv)
     try:
         args.func(args)
-    except ParseError as exc:
+    except (ParseError, PosetlinError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (PosetlinError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ParseError) else 1
     return 0
 
 

@@ -29,7 +29,8 @@ from posetlin import (
     random_poset,
 )
 from posetlin.cli import main
-from helpers import EDGE_PROBS, extend_text_lines, main_via_root, read_text_mode
+import golden
+from helpers import EDGE_PROBS, corpus, extend_text_lines, main_via_root, read_text_mode
 
 ABC_FILE = """\
 elem bot
@@ -786,3 +787,49 @@ def test_byte_reader_matches_the_text_mode_reader(deck, tmp_path, monkeypatch, c
     new = _outcome(main, argv, [])[:3]
     monkeypatch.setattr(cli, "_read", read_text_mode)
     assert new == _outcome(main, argv, [])[:3]
+
+
+def _text_form(command, payload):
+    """The text lines of ``command`` whose ``--json`` output is ``payload``:
+    ``key: value`` for check, ``true``/``false`` for a verdict, ``f(x) = y``
+    for each element of a witness map."""
+    if command == "check":
+        return [f"{key}: {value}" for key, value in payload.items()]
+    if command == "equiv":
+        return ["true" if payload["equivalent"] else "false"]
+    if command == "elcc":
+        lines = ["true" if payload["elcc"] else "false"]
+        if "chain_lengths" in payload:
+            lines.append(f"maximal chain lengths: {' '.join(map(str, payload['chain_lengths']))}")
+        return lines
+    return [
+        f"case: {payload['case']}",
+        f"pair: {' '.join(payload['pair'])}",
+        *(f"f({x}) = {y}" for x, y in payload["map"].items()),
+        f"violation: {payload['violation']}",
+    ]
+
+
+def _assert_text_is_the_json_in_text_form(capsys, argv):
+    code, text, err = run(capsys, *argv)
+    assert (code, err) == (0, ""), argv
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, err) == (0, ""), argv
+    assert text == "".join(f"{line}\n" for line in _text_form(argv[0], json.loads(out))), argv
+
+
+@pytest.mark.parametrize("argv", [["check"], ["elcc", "--oracle"], ["equiv"]])
+def test_text_output_is_the_json_payload_in_text_form_on_the_corpus(tmp_path, capsys, argv):
+    for index, p in enumerate(corpus(60)):
+        path = tmp_path / f"p{index}.poset"
+        path.write_text(formats.render_poset(p), encoding="utf-8")
+        _assert_text_is_the_json_in_text_form(capsys, [argv[0], str(path), *argv[1:]])
+
+
+@pytest.mark.parametrize("poset, ranks", [
+    (golden.README_FILES["lattice.poset"], golden.README_FILES["ranks.txt"]),
+    (DIAMOND_FILE, "bot 0\na 1\nb 2\ntop 3\n"),
+], ids=["readme-lattice-collapsed", "diamond-ordered"])
+def test_witness_text_is_its_json_payload_in_text_form(files, capsys, poset, ranks):
+    argv = ["witness", files("lattice.poset", poset), files("ranks.txt", ranks)]
+    _assert_text_is_the_json_in_text_form(capsys, argv)

@@ -168,6 +168,28 @@ MUTANTS = [
         '"entries": list(zip(keys, reversed(value.ranks))),',
         ["tests/test_mappings.py", "tests/test_cli.py"],
     ),
+    # the command line's one output step and one error step
+    Mutant(
+        "_emit prints the text lines under --json",
+        CLI,
+        'print(canonical_json(payload) if args.json else "\\n".join(lines))',
+        'print("\\n".join(lines))',
+        ["tests/test_cli.py"],
+    ),
+    Mutant(
+        "main exits 1 for a ParseError",
+        CLI,
+        "return 2 if isinstance(exc, ParseError) else 1",
+        "return 1",
+        ["tests/test_cli.py"],
+    ),
+    Mutant(
+        "elcc --oracle writes the chain lengths line before true or false",
+        CLI,
+        'lines.append(f"maximal chain lengths:',
+        'lines.insert(0, f"maximal chain lengths:',
+        ["tests/test_cli.py"],
+    ),
     # one per row of README's Claims table, killed by the tests that row names
     Mutant(
         "claim (i): compute_levels strips maximal elements in both directions",
