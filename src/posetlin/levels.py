@@ -12,7 +12,6 @@ per element; its level sets and its classes are read from that on access.
 from collections import namedtuple
 
 from .errors import EmptyPosetError
-from .poset import _indices
 
 PRIMAL = "primal"
 DUAL = "dual"
@@ -96,14 +95,22 @@ def satisfies_elcc(p):
     share one length exactly when every upper cover sits exactly one dual
     level up (so all walks into an element have equal length) and every
     element with no upper cover sits on the top dual level.
+
+    Each generating pair is checked, as every upper cover is one; the upper
+    closure half only tells a cover from a redundant pair, which is skipped.
     """
     if len(p) == 0:
         raise EmptyPosetError("cannot linearise an empty poset")
     cover_up = p._closure()[1]
     grade = p._dual()._layers()
     top = max(grade)
-    return all(all(grade[j] == g + 1 for j in _indices(above)) if above else g == top
-               for g, above in zip(grade, cover_up))
+    for g, succ, above in zip(grade, p._succ, cover_up):
+        if not succ and g != top:
+            return False
+        for j in succ:
+            if grade[j] != g + 1 and above >> j & 1:
+                return False
+    return True
 
 
 def linearisations_equivalent(p):

@@ -4,7 +4,9 @@ the sandwich check on extensions, the up-set that refutes claim (ii) off
 coinciding decompositions, reference readers for the file formats, one
 logical line at a time, the CLI's earlier dispatch and file reader, the
 earlier pairwise form of ``brute_levels``, longest cover walks from a list
-of covers, and class-mapping JSON and text composed from public calls."""
+of covers, class-mapping JSON and text composed from public calls, and the
+earlier pull loop of ``Poset._layers`` and generator check of
+``satisfies_elcc``."""
 
 import io
 import sys
@@ -32,6 +34,7 @@ from posetlin.formats import canonical_json
 from posetlin.levels import _check_direction
 from posetlin.mappings import MAX_TABLE_ENTRIES
 from posetlin.oracle import MAX_BRUTE_LEVELS
+from posetlin.poset import _indices
 
 EDGE_PROBS = (0.0, 0.1, 0.3, 0.7, 1.0)
 
@@ -514,3 +517,27 @@ def brute_levels_pairwise(p, direction=PRIMAL):
         assigned |= level
     level_of = {x: i for i, level in enumerate(levels) for x in level}
     return Linearisation(p, direction, tuple([level_of[x] for x in p.elements]), len(levels))
+
+
+def pulled_layers(p):
+    """``p._layers()`` as it was first written: in reverse topological order,
+    each element pulls one more than the greatest layer of its generating
+    successors."""
+    succ = p._succ
+    layer = [0] * len(succ)
+    at = layer.__getitem__
+    for i in reversed(p._order):
+        if succ[i]:
+            layer[i] = 1 + max(map(at, succ[i]))
+    return layer
+
+
+def elcc_over_cover_bits(p):
+    """``satisfies_elcc`` as it was first written: every set bit of each upper
+    cover row must sit one dual level up, and an element with no upper cover on
+    the top dual level."""
+    cover_up = p._closure()[1]
+    grade = pulled_layers(p._dual())
+    top = max(grade)
+    return all(all(grade[j] == g + 1 for j in _indices(above)) if above else g == top
+               for g, above in zip(grade, cover_up))

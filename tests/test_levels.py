@@ -6,14 +6,24 @@ from posetlin import (
     DUAL,
     PRIMAL,
     EmptyPosetError,
+    SplitMix64,
     UnknownElementError,
     build_poset,
     compute_levels,
     enumerate_maximal_chains,
     linearisations_equivalent,
+    parse_poset,
     satisfies_elcc,
 )
-from helpers import antichain, chain, coinciding_levels_unequal_chains, corpus
+from helpers import (
+    antichain,
+    chain,
+    coinciding_levels_unequal_chains,
+    corpus,
+    elcc_over_cover_bits,
+    pulled_layers,
+    shuffled,
+)
 
 
 def test_abc_primal_levels(abc_lattice):
@@ -206,3 +216,67 @@ def test_linear_posets_reproduce_their_own_order():
         p = chain(n)
         for lin in _lins(p):
             assert lin.classes_ascending() == [[x] for x in p.elements]
+
+
+# -- the push loops against the earlier pull loops, past the oracle caps ------
+
+CUT = 1000  # the cut chain lacks the cover x1000 < x1001
+
+
+def _long_chain(cut=False):
+    """A 3,000-chain read from a file that declares its elements in shuffled
+    order and lists its pairs shuffled: the covers, 750 redundant pairs and
+    100 repeated edge lines.  No redundant pair touches x1000 or x1001, so with
+    ``cut`` x1000 is maximal on dual level 1,000, far below the top, and the
+    ELCC fails."""
+    rng = SplitMix64(36)
+    n = 3000
+    names = [f"x{i}" for i in range(n)]
+    pairs = list(zip(names, names[1:]))
+    for _ in range(750):
+        i = rng.below(n - 2)
+        j = i + 2 + rng.below(n - i - 2)
+        if not {i, j} & {CUT, CUT + 1}:
+            pairs.append((names[i], names[j]))
+    pairs += [pairs[rng.below(len(pairs))] for _ in range(100)]
+    if cut:
+        pairs = [pair for pair in pairs if pair != (names[CUT], names[CUT + 1])]
+    text = "".join(f"elem {x}\n" for x in shuffled(rng, names))
+    text += "".join(f"{x} < {y}\n" for x, y in shuffled(rng, pairs))
+    return parse_poset(text)
+
+
+def _grid(rows, cols):
+    """The componentwise product of two chains, declared and generated shuffled."""
+    rng = SplitMix64(rows * cols)
+    names = [f"g{i}_{j}" for i in range(rows) for j in range(cols)]
+    pairs = [(f"g{i}_{j}", f"g{i + 1}_{j}") for i in range(rows - 1) for j in range(cols)]
+    pairs += [(f"g{i}_{j}", f"g{i}_{j + 1}") for i in range(rows) for j in range(cols - 1)]
+    return build_poset(shuffled(rng, names), shuffled(rng, pairs))
+
+
+def _random_dag(n, seed):
+    """Each of ``n`` elements generates three pairs up to later ones, drawn with
+    repeats; the elements are declared shuffled."""
+    rng = SplitMix64(seed)
+    names = [f"v{i}" for i in range(n)]
+    pairs = [(names[i], names[i + 1 + rng.below(n - i - 1)]) for i in range(n - 1) for _ in range(3)]
+    return build_poset(shuffled(rng, names), pairs)
+
+
+CHART_SIZED = {
+    "3000-chain": (_long_chain, True),
+    "30x30 grid": (lambda: _grid(30, 30), True),
+    "400-dag": (lambda: _random_dag(400, 400), False),
+    "2000-dag": (lambda: _random_dag(2000, 2000), False),
+    "3000-chain without one cover": (lambda: _long_chain(cut=True), False),
+}
+
+
+@pytest.mark.parametrize("name", CHART_SIZED)
+def test_push_loops_equal_the_pull_loops_at_chart_sizes(name):
+    make, elcc = CHART_SIZED[name]
+    p = make()
+    for q in (p, p._dual()):
+        assert q._layers() == pulled_layers(q)
+    assert satisfies_elcc(p) is elcc_over_cover_bits(p) is elcc

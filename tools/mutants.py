@@ -135,8 +135,8 @@ MUTANTS = [
     Mutant(
         "Poset._layers takes the shortest walk up",
         POSET,
-        "layer[i] = 1 + max(map(at, succ[i]))",
-        "layer[i] = 1 + min(map(at, succ[i]))",
+        "if layer[j] < step:",
+        "if not layer[j] or layer[j] > step:",
         ["tests/test_poset.py", "tests/test_levels.py"],
     ),
     Mutant(
@@ -215,8 +215,15 @@ MUTANTS = [
     Mutant(
         "the ELCC: satisfies_elcc lets a maximal element sit below the top dual level",
         LEVELS,
-        "if above else g == top",
-        "if above else True",
+        "if not succ and g != top:",
+        "if False:",
+        [ACCEPTANCE, "tests/test_levels.py"],
+    ),
+    Mutant(
+        "the ELCC: satisfies_elcc drops the cover test, so a redundant generating pair fails it",
+        LEVELS,
+        "if grade[j] != g + 1 and above >> j & 1:",
+        "if grade[j] != g + 1:",
         [ACCEPTANCE, "tests/test_levels.py"],
     ),
     Mutant(
