@@ -201,7 +201,3 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ParseError) else 1
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

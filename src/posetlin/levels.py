@@ -11,8 +11,6 @@ per element; its level sets and its classes are read from that on access.
 
 from collections import namedtuple
 
-from .errors import EmptyPosetError
-
 PRIMAL = "primal"
 DUAL = "dual"
 DIRECTIONS = (PRIMAL, DUAL)
@@ -80,8 +78,6 @@ def compute_levels(p, direction=PRIMAL):
     Raises ``EmptyPosetError`` on an empty poset.
     """
     _check_direction(direction)
-    if len(p) == 0:
-        raise EmptyPosetError("cannot linearise an empty poset")
     layer = (p if direction == PRIMAL else p._dual())._layers()
     return Linearisation(p, direction, tuple(layer), 1 + max(layer))
 
@@ -99,10 +95,8 @@ def satisfies_elcc(p):
     Each generating pair is checked, as every upper cover is one; the upper
     closure half only tells a cover from a redundant pair, which is skipped.
     """
-    if len(p) == 0:
-        raise EmptyPosetError("cannot linearise an empty poset")
+    grade = p._dual()._layers()  # rejects an empty poset before any closure is built
     cover_up = p._closure()[1]
-    grade = p._dual()._layers()
     top = max(grade)
     for g, succ, above in zip(grade, p._succ, cover_up):
         if not succ and g != top:
@@ -134,8 +128,6 @@ def linearisations_equivalent(p):
     greatest ``d(y) = t`` and the complement of the down-set generated by dual
     level ``t + 1`` refute dual ``over``; complements refute the other modes.
     """
-    if len(p) == 0:
-        raise EmptyPosetError("cannot linearise an empty poset")
     up, down = p._layers(), p._dual()._layers()
     k = 1 + max(down)
     return all(u + d == k - 1 for u, d in zip(up, down))

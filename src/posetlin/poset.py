@@ -20,6 +20,7 @@ from .errors import (
     ArityMismatchError,
     CycleError,
     DuplicateElementError,
+    EmptyPosetError,
     NotALatticeError,
     UnknownElementError,
 )
@@ -165,13 +166,15 @@ class Poset:
         return tuple(sum(map(int.bit_count, rows)) for rows in self._closure())
 
     def _layers(self):
-        """Package-internal: ``layer[i]`` counts the cover steps of the longest
-        walk from element ``i`` up to a maximal element.  Every cover is a
-        generating pair and every pair a chain of covers, so pushing each
-        element's layer plus one along its predecessor list, in reverse
-        topological order, finds the same walks, in O(n + pairs) steps and with
-        no closure: every successor comes first, so a layer is final when read."""
+        """Package-internal: ``layer[i]`` counts the cover steps of the longest walk
+        from element ``i`` up to a maximal element; an empty poset raises ``EmptyPosetError``.
+        Every cover is a generating pair and every pair a chain of covers, so pushing
+        each element's layer plus one along its predecessor list, in reverse topological
+        order, finds the same walks in O(n + pairs) steps and with no closure: every
+        successor comes first, so a layer is final when read."""
         pred = self._pred
+        if not pred:
+            raise EmptyPosetError("cannot linearise an empty poset")
         layer = [0] * len(pred)
         for i in reversed(self._order):
             step = layer[i] + 1

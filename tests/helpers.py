@@ -101,7 +101,7 @@ def boolean_lattice_3():
 
 def grid_poset(rows, cols):
     """Componentwise-ordered product of two chains."""
-    names = {(i, j): f"g{i}{j}" for i in range(rows) for j in range(cols)}
+    names = {(i, j): f"g{i}_{j}" for i in range(rows) for j in range(cols)}
     pairs = []
     for i in range(rows):
         for j in range(cols):

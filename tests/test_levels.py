@@ -110,10 +110,15 @@ def test_linearisations_equivalent(abc_lattice, diamond):
 
 def test_elcc_decisions_reject_empty_posets():
     empty = build_poset([], [])
-    with pytest.raises(EmptyPosetError):
-        satisfies_elcc(empty)
-    with pytest.raises(EmptyPosetError):
-        linearisations_equivalent(empty)
+    calls = (
+        lambda: compute_levels(empty, PRIMAL),
+        lambda: compute_levels(empty, DUAL),
+        lambda: satisfies_elcc(empty),
+        lambda: linearisations_equivalent(empty),
+    )
+    for call in calls:
+        with pytest.raises(EmptyPosetError, match="^cannot linearise an empty poset$"):
+            call()
 
 
 LEVEL_CORPUS = corpus(250)

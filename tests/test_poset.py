@@ -14,6 +14,7 @@ from posetlin import (
     ArityMismatchError,
     CycleError,
     DuplicateElementError,
+    EmptyPosetError,
     NotALatticeError,
     SplitMix64,
     UnknownElementError,
@@ -425,7 +426,7 @@ def named_shapes():
             grid = grid_poset(rows, cols)
             shapes.append((f"grid{rows}x{cols}", grid))
             if rows > 1:
-                shapes.append((f"grid{rows}x{cols}-top", _without(grid, f"g{rows - 1}{cols - 1}")))
+                shapes.append((f"grid{rows}x{cols}-top", _without(grid, f"g{rows - 1}_{cols - 1}")))
     cube = boolean_lattice_3()
     # without its bottom the cube still has every join, but no meets
     shapes += [("boolean3", cube), ("boolean3-bottom", _without(cube, "e"))]
@@ -481,6 +482,9 @@ def test_named_shapes_include_lattices_and_non_lattices():
     assert verdicts["grid5x5"] and verdicts["boolean3"] and verdicts["chain20"]
     assert not verdicts["grid5x5-top"] and not verdicts["boolean3-bottom"]
     assert not verdicts["chain20-doubled-top"]
+    # two-digit indices name distinct elements: (1, 10) is g1_10 and (11, 0) g11_0
+    grid = grid_poset(12, 12)
+    assert len(grid) == 144 and grid.is_lattice() and satisfies_elcc(grid)
 
 
 @st.composite
@@ -555,6 +559,11 @@ def redundant_generating_pairs(draw):
 def test_layers_over_the_generating_pairs_equal_the_cover_walks(drawn):
     elements, pairs = drawn
     p = build_poset(elements, pairs)
+    if not elements:  # an empty poset has no levels in either direction
+        for q in (p, p._dual()):
+            with pytest.raises(EmptyPosetError, match="^cannot linearise an empty poset$"):
+                q._layers()
+        return
     covers = brute_order(elements, pairs)[1]
     for upward in (True, False):
         assert (p if upward else p._dual())._layers() == cover_walk_layers(elements, covers, upward)

@@ -28,6 +28,7 @@ CLI = "src/posetlin/cli.py"
 FORMATS = "src/posetlin/formats.py"
 LEVELS = "src/posetlin/levels.py"
 MAPPINGS = "src/posetlin/mappings.py"
+ORACLE = "src/posetlin/oracle.py"
 POSET = "src/posetlin/poset.py"
 
 ACCEPTANCE = "tests/test_acceptance.py"
@@ -140,11 +141,82 @@ MUTANTS = [
         ["tests/test_poset.py", "tests/test_levels.py"],
     ),
     Mutant(
+        "Poset._layers lays out an empty poset, which has no levels",
+        POSET,
+        "if not pred:",
+        "if False:",
+        ["tests/test_levels.py", "tests/test_poset.py"],
+    ),
+    Mutant(
+        "maximal_elements reads the predecessor lists",
+        POSET,
+        "zip(self.elements, self._succ) if not succ",
+        "zip(self.elements, self._pred) if not succ",
+        ["tests/test_poset.py"],
+    ),
+    Mutant(
         "_closure_and_covers keeps every generating pair as a cover",
         POSET,
         "cover[i] = adj & ~reach",
         "cover[i] = adj",
         ["tests/test_poset.py"],
+    ),
+    # single slips in the readers, the tables, the ranks and the reference levels
+    Mutant(
+        "parse_poset leaves the predecessor lists empty",
+        FORMATS,
+        "            succ[i].append(j)\n            pred[j].append(i)\n",
+        "            succ[i].append(j)\n",
+        [TEST_FORMATS],
+    ),
+    Mutant(
+        "render_poset writes every strict pair, not the covers",
+        FORMATS,
+        'lines.extend(f"{x} < {y}" for x, y in p._pairs(p._closure()[1]))',
+        'lines.extend(f"{x} < {y}" for x, y in p._pairs(p._closure()[0]))',
+        [TEST_FORMATS],
+    ),
+    Mutant(
+        "_check_size clips the exponent at 19, so 2 ** 20 entries pass the cap",
+        MAPPINGS,
+        "n ** min(arity, MAX_TABLE_ENTRIES.bit_length())",
+        "n ** min(arity, 19)",
+        ["tests/test_mappings.py", TEST_FORMATS],
+    ),
+    Mutant(
+        "MappingTable._check lets no cover step keep its value",
+        MAPPINGS,
+        "return all(u == v or ok[u] >> v & 1 for u, v in self._pairs)",
+        "return all(ok[u] >> v & 1 for u, v in self._pairs)",
+        ["tests/test_mappings.py"],
+    ),
+    Mutant(
+        "ClassMapping.table reads the ranks forwards for a primal domain",
+        MAPPINGS,
+        "ranks = reversed(self.ranks) if self.domain_lin.direction == PRIMAL else self.ranks",
+        "ranks = self.ranks",
+        ["tests/test_mappings.py"],
+    ),
+    Mutant(
+        "ClassMapping.__call__ reads the ranks forwards for a primal domain",
+        MAPPINGS,
+        "self.ranks[~slot if backwards else slot]",
+        "self.ranks[slot]",
+        ["tests/test_mappings.py"],
+    ),
+    Mutant(
+        "Linearisation.rank accepts a level index out of range",
+        LEVELS,
+        "if not (isinstance(level_index, int) and level_index in range(m)):",
+        "if False:",
+        ["tests/test_levels.py"],
+    ),
+    Mutant(
+        "brute_levels strips along the reversed order",
+        ORACLE,
+        "p.above(x) if direction == PRIMAL else p.below(x)",
+        "p.below(x) if direction == PRIMAL else p.above(x)",
+        ["tests/test_oracle.py"],
     ),
     # the extend outputs, both read off the rank tuple
     Mutant(
